@@ -7,15 +7,19 @@ success, 1 on runtime failure, 2 on config errors. The out directory
 resolves as --out flag, then GRADAL_OUT, then the config's out_dir, then
 ./runs. All JSON is written with sorted keys so reruns are byte-stable;
 CSVs start with a "# fingerprint=..." comment line, then a header row.
+Outputs are written only after a verb succeeds, each file atomically,
+manifest.json last: a directory without a manifest is not a finished run.
 """
 
 import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -100,6 +104,8 @@ def _get(cfg: dict, name: str, kind, default=None, required=False, where=""):
         value = float(value)
     if kind is not None and not isinstance(value, kind) or isinstance(value, bool) and kind is int:
         raise ConfigError(f"{label}: expected {getattr(kind, '__name__', kind)}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{label}: expected a finite number, got {value}")
     return value
 
 
@@ -209,45 +215,72 @@ def resolve_out_dir(flag_value, config: dict) -> Path:
     return Path(config.get("out_dir") or DEFAULT_OUT)
 
 
+@contextmanager
+def _replacing(path: Path):
+    """Text handle on a temp file beside ``path``; on a clean exit the temp
+    file is flushed to disk and renamed over ``path``, so readers see the
+    old file or the whole new one, never a partial write."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    with _replacing(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def write_table(path: Path, fingerprint: str, header, rows):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _replacing(path) as fh:
         fh.write(f"# fingerprint={fingerprint}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _manifest(command: str, fingerprint: str, config: dict, outputs, started, finished) -> dict:
-    return {
-        "command": command,
-        "fingerprint": fingerprint,
-        "version": __version__,
-        "config": config,
-        "outputs": sorted(str(p) for p in outputs),
-        "started": started,
-        "finished": finished,
-    }
-
-
 def _timestamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()) + "Z"
 
 
-def _prepare_dir(out_root: Path, fingerprint: str) -> Path:
-    run_dir = out_root / fingerprint
-    run_dir.mkdir(parents=True, exist_ok=True)
-    return run_dir
+def _emit(command: str, config: dict, out_flag, started: str, files: dict,
+          report=None) -> int:
+    """Write a finished verb's outputs into <out>/<fingerprint>/.
 
-
-def _embedded_manifest(fingerprint: str, config: dict, **extra) -> dict:
-    payload = {"fingerprint": fingerprint, "version": __version__, "config": config}
-    payload.update(extra)
-    return payload
+    ``files`` maps file names to payloads: a dict is written as JSON with
+    the embedded manifest block under "manifest" (a "manifest" dict in the
+    payload adds fields to it); a (header, rows) pair is written as a CSV.
+    The directory is created only now, after the verb's work succeeded;
+    each file is replaced atomically and manifest.json goes last, so a
+    directory is complete exactly when it holds a manifest. Prints
+    ``report``, or "<command> complete: <dir>" when there is none.
+    """
+    fingerprint = fingerprint_of(config)
+    out_dir = resolve_out_dir(out_flag, config) / fingerprint
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, payload in files.items():
+        if isinstance(payload, dict):
+            embedded = {"fingerprint": fingerprint, "version": __version__,
+                        "config": config, **payload.get("manifest", {})}
+            write_json(out_dir / name, {**payload, "manifest": embedded})
+        else:
+            write_table(out_dir / name, fingerprint, *payload)
+    write_json(out_dir / "manifest.json", {
+        "command": command,
+        "fingerprint": fingerprint,
+        "version": __version__,
+        "config": config,
+        "outputs": sorted(str(out_dir / name) for name in files),
+        "started": started,
+        "finished": _timestamp(),
+    })
+    print(report if report is not None else f"{command} complete: {out_dir}")
+    return 0
 
 
 def _batch_dict(batch):
@@ -277,13 +310,11 @@ def cmd_run(config: dict, out_flag=None, threads: int = 1) -> int:
     sweep_lr = _get(config, "sweep_lr", bool, False)
     standardize = _get(config, "standardize", bool, False)
 
-    fingerprint = fingerprint_of(config)
-    out_dir = _prepare_dir(resolve_out_dir(out_flag, config), fingerprint)
-
     if standardize:
         train_idx, _, _ = split(dataset, split_spec)
         dataset = _standardized(dataset, train_idx)
 
+    fingerprint = fingerprint_of(config)
     per_method = {}
     for method in methods:
         try:
@@ -293,14 +324,11 @@ def cmd_run(config: dict, out_flag=None, threads: int = 1) -> int:
                 split_spec=split_spec, sweep_lr=sweep_lr)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        result = run_experiment(cfg, dataset, fingerprint=fingerprint,
-                                threads=threads)
-        per_method[method] = result
+        per_method[method] = run_experiment(cfg, dataset, fingerprint=fingerprint,
+                                            threads=threads)
 
-    results_payload = {
-        "manifest": _embedded_manifest(
-            fingerprint, config,
-            dataset_name=dataset.name, arch_name=_arch_name(arch)),
+    results = {
+        "manifest": {"dataset_name": dataset.name, "arch_name": _arch_name(arch)},
         "per_method": {
             m: {
                 "seeds": list(r.seeds),
@@ -324,26 +352,17 @@ def cmd_run(config: dict, out_flag=None, threads: int = 1) -> int:
             for m, r in per_method.items()
         },
     }
-    results_path = out_dir / "results.json"
-    write_json(results_path, results_payload)
-
     rows = []
     for m, r in per_method.items():
         for seed, records in zip(r.seeds, r.per_seed):
             for rec in records:
                 rows.append([m, rec.round, rec.labeled_size, seed,
                              rec.test_accuracy, rec.acquisition_seconds])
-    rounds_path = out_dir / "rounds.csv"
-    write_table(rounds_path, fingerprint,
-                ["method", "round", "labeled_size", "seed", "accuracy", "acq_seconds"],
-                rows)
-
-    manifest_path = out_dir / "manifest.json"
-    write_json(manifest_path, _manifest("run", fingerprint, config,
-                                        [results_path, rounds_path],
-                                        started, _timestamp()))
-    print(f"run complete: {out_dir}")
-    return 0
+    return _emit("run", config, out_flag, started, {
+        "results.json": results,
+        "rounds.csv": (["method", "round", "labeled_size", "seed", "accuracy",
+                        "acq_seconds"], rows),
+    })
 
 
 # ---------------------------------------------------------------- compare
@@ -362,9 +381,13 @@ def parse_slice(text: str) -> ComparisonSlice:
 
 
 def _load_results_files(results_dir: Path):
-    paths = sorted(results_dir.glob("**/results.json"))
+    """Load every results.json of a complete run: one whose directory also
+    holds manifest.json."""
+    paths = sorted(p for p in results_dir.glob("**/results.json")
+                   if (p.parent / "manifest.json").is_file())
     if not paths:
-        raise ConfigError(f"results_dir: no results.json found under {results_dir}")
+        raise ConfigError(
+            f"results_dir: no results.json with a manifest.json found under {results_dir}")
     loaded = []
     for p in paths:
         with open(p, encoding="utf-8") as fh:
@@ -372,27 +395,16 @@ def _load_results_files(results_dir: Path):
     return loaded
 
 
-class _CurveView:
-    def __init__(self, per_seed):
-        self.per_seed = per_seed
-
-
-class _RecordView:
-    def __init__(self, accuracy):
-        self.test_accuracy = accuracy
-
-
 def _curves_from_payload(path: Path, payload: dict):
     per_method = payload.get("per_method", {})
     if len(per_method) < 2:
         raise ValueError(f"{path}: needs at least two methods")
-    views = {
-        m: _CurveView([[_RecordView(rec["test_accuracy"]) for rec in seq]
-                       for seq in entry["per_seed"]])
+    accuracies = {
+        m: [[rec["test_accuracy"] for rec in seq] for seq in entry["per_seed"]]
         for m, entry in per_method.items()
     }
     manifest = payload.get("manifest", {})
-    return curves_from_results(views, dataset=manifest.get("dataset_name", ""),
+    return curves_from_results(accuracies, dataset=manifest.get("dataset_name", ""),
                                arch=manifest.get("arch_name", ""))
 
 
@@ -428,28 +440,17 @@ def cmd_compare(results_dir, slice_name: str, alpha: float, out_flag=None) -> in
         "alpha": alpha,
         "inputs": sorted(payload["manifest"]["fingerprint"] for _, payload in loaded),
     }
-    fingerprint = fingerprint_of(config)
-    out_dir = _prepare_dir(resolve_out_dir(out_flag, {}), fingerprint)
-
-    ppm_json = out_dir / "ppm.json"
-    write_json(ppm_json, {
-        "manifest": _embedded_manifest(fingerprint, config),
-        "methods": list(ppm.methods),
-        "P": [[float(v) for v in row] for row in ppm.P],
-        "experiments_counted": ppm.experiments_counted,
-        "loss_scores": scores,
+    return _emit("compare", config, out_flag, started, {
+        "ppm.json": {
+            "methods": list(ppm.methods),
+            "P": [[float(v) for v in row] for row in ppm.P],
+            "experiments_counted": ppm.experiments_counted,
+            "loss_scores": scores,
+        },
+        "ppm.csv": (["method"] + list(ppm.methods),
+                    [[m] + [float(v) for v in ppm.P[i]] for i, m in enumerate(ppm.methods)]),
+        "loss_scores.csv": (["method", "loss_score"], [[m, scores[m]] for m in ppm.methods]),
     })
-    ppm_csv = out_dir / "ppm.csv"
-    write_table(ppm_csv, fingerprint, ["method"] + list(ppm.methods),
-                [[m] + [float(v) for v in ppm.P[i]] for i, m in enumerate(ppm.methods)])
-    loss_csv = out_dir / "loss_scores.csv"
-    write_table(loss_csv, fingerprint, ["method", "loss_score"],
-                [[m, scores[m]] for m in ppm.methods])
-    write_json(out_dir / "manifest.json",
-               _manifest("compare", fingerprint, config,
-                         [ppm_json, ppm_csv, loss_csv], started, _timestamp()))
-    print(f"compare complete: {out_dir}")
-    return 0
 
 
 # ---------------------------------------------------------------- geometry
@@ -466,9 +467,6 @@ def cmd_geometry(config: dict, out_flag=None) -> int:
     batch_sizes = _get(config, "batch_sizes", list, [10, 20, 40])
     if not batch_sizes or not all(isinstance(v, int) and v > 0 for v in batch_sizes):
         raise ConfigError("batch_sizes: expected positive integers")
-
-    fingerprint = fingerprint_of(config)
-    out_dir = _prepare_dir(resolve_out_dir(out_flag, config), fingerprint)
 
     all_idx = np.arange(dataset.n_samples)
     pool = init_pool(all_idx, initial_size, seed)
@@ -502,25 +500,17 @@ def cmd_geometry(config: dict, out_flag=None) -> int:
                 rows_input.append([method, b, i, input_xy[i, 0], input_xy[i, 1], role])
                 rows_emb.append([method, b, i, emb_xy[i, 0], emb_xy[i, 1], role])
 
-    input_csv = out_dir / "geometry_input.csv"
-    emb_csv = out_dir / "geometry_embedding.csv"
     header = ["method", "batch_size", "index", "x", "y", "role"]
-    write_table(input_csv, fingerprint, header, rows_input)
-    write_table(emb_csv, fingerprint, header, rows_emb)
-
-    geometry_json = out_dir / "geometry.json"
-    write_json(geometry_json, {
-        "manifest": _embedded_manifest(fingerprint, config),
-        "model_param_sha256": param_hash,
-        "param_hash_per_acquisition": hashes,
-        "initial": [int(i) for i in pool.labeled],
-        "batches": batches,
+    return _emit("geometry", config, out_flag, started, {
+        "geometry_input.csv": (header, rows_input),
+        "geometry_embedding.csv": (header, rows_emb),
+        "geometry.json": {
+            "model_param_sha256": param_hash,
+            "param_hash_per_acquisition": hashes,
+            "initial": [int(i) for i in pool.labeled],
+            "batches": batches,
+        },
     })
-    write_json(out_dir / "manifest.json",
-               _manifest("geometry", fingerprint, config,
-                         [input_csv, emb_csv, geometry_json], started, _timestamp()))
-    print(f"geometry complete: {out_dir}")
-    return 0
 
 
 # ---------------------------------------------------------------- shift
@@ -532,11 +522,12 @@ def _shift_vector(config: dict, dataset: Dataset) -> np.ndarray:
     if isinstance(raw, list):
         if len(raw) != dataset.n_features:
             raise ConfigError(f"shift: expected {dataset.n_features} entries")
-        return np.asarray(raw, dtype=float)
+        entries = {f"shift[{i}]": v for i, v in enumerate(raw)}
+        return np.array([_get(entries, name, float) for name in entries])
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
         spread = _get(config.get("dataset", {}), "spread", float, 1.0)
         direction = np.ones(dataset.n_features) / np.sqrt(dataset.n_features)
-        return float(raw) * spread * direction
+        return _get(config, "shift", float) * spread * direction
     raise ConfigError("shift: expected a number (sigma multiple) or a vector")
 
 
@@ -556,9 +547,6 @@ def cmd_shift(config: dict, out_flag=None) -> int:
     if not 1 <= eval_size <= test_idx.size:
         raise ConfigError(f"eval_size: must be in [1, {test_idx.size}]")
     eval_idx = test_idx[:eval_size]
-
-    fingerprint = fingerprint_of(config)
-    out_dir = _prepare_dir(resolve_out_dir(out_flag, config), fingerprint)
 
     per_seed, rows = [], []
     for seed in seeds:
@@ -582,20 +570,14 @@ def cmd_shift(config: dict, out_flag=None) -> int:
         for i, s in zip(eval_idx, shift_scores):
             rows.append([int(seed), "shifted", int(i), float(s)])
 
-    scores_csv = out_dir / "scores.csv"
-    write_table(scores_csv, fingerprint, ["seed", "set", "index", "score"], rows)
-    shift_json = out_dir / "shift.json"
-    write_json(shift_json, {
-        "manifest": _embedded_manifest(fingerprint, config),
-        "shift": [float(v) for v in shift],
-        "n_eval": int(eval_size),
-        "per_seed": per_seed,
+    return _emit("shift", config, out_flag, started, {
+        "scores.csv": (["seed", "set", "index", "score"], rows),
+        "shift.json": {
+            "shift": [float(v) for v in shift],
+            "n_eval": int(eval_size),
+            "per_seed": per_seed,
+        },
     })
-    write_json(out_dir / "manifest.json",
-               _manifest("shift", fingerprint, config,
-                         [scores_csv, shift_json], started, _timestamp()))
-    print(f"shift complete: {out_dir}")
-    return 0
 
 
 # ---------------------------------------------------------------- contraction
@@ -620,9 +602,6 @@ def cmd_contraction(config: dict, out_flag=None) -> int:
     except ValueError as exc:
         raise ConfigError(f"contraction: {exc}") from exc
 
-    fingerprint = fingerprint_of(config)
-    out_dir = _prepare_dir(resolve_out_dir(out_flag, config), fingerprint)
-
     try:
         report = run_contraction_trace(trace_cfg, dataset)
     except ValueError as exc:
@@ -633,23 +612,17 @@ def cmd_contraction(config: dict, out_flag=None) -> int:
         lhs, rhs = cumulative_df_bound_check(report.df_norms, report.t0_estimate)
         bound = {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1 + 1e-12))}
 
-    trace_csv = out_dir / "trace.csv"
-    write_table(trace_csv, fingerprint, ["epoch", "df_norm"],
-                [[t, float(v)] for t, v in enumerate(report.df_norms)])
-    report_json = out_dir / "report.json"
-    write_json(report_json, {
-        "manifest": _embedded_manifest(fingerprint, config),
-        "df_norms": [float(v) for v in report.df_norms],
-        "t0_estimate": report.t0_estimate,
-        "violation_count_after_t0": report.violation_count_after_t0,
-        "rho_hat": report.rho_hat,
-        "bound_check": bound,
+    return _emit("contraction", config, out_flag, started, {
+        "trace.csv": (["epoch", "df_norm"],
+                      [[t, float(v)] for t, v in enumerate(report.df_norms)]),
+        "report.json": {
+            "df_norms": [float(v) for v in report.df_norms],
+            "t0_estimate": report.t0_estimate,
+            "violation_count_after_t0": report.violation_count_after_t0,
+            "rho_hat": report.rho_hat,
+            "bound_check": bound,
+        },
     })
-    write_json(out_dir / "manifest.json",
-               _manifest("contraction", fingerprint, config,
-                         [trace_csv, report_json], started, _timestamp()))
-    print(f"contraction complete: {out_dir}")
-    return 0
 
 
 # ---------------------------------------------------------------- timing
@@ -679,9 +652,6 @@ def cmd_timing(config: dict, out_flag=None) -> int:
     arch = build_arch(_get(config, "model", dict, {"hidden_widths": [128, 64]}), dataset)
     train_cfg = build_train(_get(config, "train", dict, {"epochs": 3, "learning_rate": 0.01}))
 
-    fingerprint = fingerprint_of(config)
-    out_dir = _prepare_dir(resolve_out_dir(out_flag, config), fingerprint)
-
     base = init_pool(np.arange(dataset.n_samples), initial_size, seed)
     start_pool = PoolState(labeled=base.labeled, unlabeled=base.unlabeled[:pool_size])
     model = init_model(arch, seed=derive_seed(seed, "init"))
@@ -710,28 +680,22 @@ def cmd_timing(config: dict, out_flag=None) -> int:
         ordering = bool(per_method["entropy"]["mean_seconds"]
                         < per_method["grad"]["mean_seconds"])
 
-    timing_csv = out_dir / "timing.csv"
-    write_table(timing_csv, fingerprint, ["method", "mean_seconds", "sd_seconds"],
-                [[m, per_method[m]["mean_seconds"], per_method[m]["sd_seconds"]]
-                 for m in methods])
-    timing_json = out_dir / "timing.json"
-    write_json(timing_json, {
-        "manifest": _embedded_manifest(fingerprint, config),
-        "pool_size": pool_size,
-        "batch_size": batch_size,
-        "rounds": rounds,
-        "per_method": per_method,
-        "entropy_faster_than_grad": ordering,
-    })
-    write_json(out_dir / "manifest.json",
-               _manifest("timing", fingerprint, config,
-                         [timing_csv, timing_json], started, _timestamp()))
-    for m in methods:
-        entry = per_method[m]
-        print(f"{m}: {entry['mean_seconds']:.3f} +/- {entry['sd_seconds']:.3f} s")
+    report = [f"{m}: {per_method[m]['mean_seconds']:.3f} +/- {per_method[m]['sd_seconds']:.3f} s"
+              for m in methods]
     if ordering is not None:
-        print(f"entropy faster than grad: {ordering}")
-    return 0
+        report.append(f"entropy faster than grad: {ordering}")
+    return _emit("timing", config, out_flag, started, {
+        "timing.csv": (["method", "mean_seconds", "sd_seconds"],
+                       [[m, per_method[m]["mean_seconds"], per_method[m]["sd_seconds"]]
+                        for m in methods]),
+        "timing.json": {
+            "pool_size": pool_size,
+            "batch_size": batch_size,
+            "rounds": rounds,
+            "per_method": per_method,
+            "entropy_faster_than_grad": ordering,
+        },
+    }, report="\n".join(report))
 
 
 # ---------------------------------------------------------------- main

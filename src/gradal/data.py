@@ -208,12 +208,8 @@ def make_blobs(n_samples: int, n_classes: int, n_features: int,
     )
 
 
-def make_shifted(dataset: Dataset, shift, seed: int = 0) -> Dataset:
-    """Translate every feature vector by ``shift``; labels unchanged.
-
-    ``seed`` is accepted for interface symmetry with the other generators
-    but unused: translation is deterministic.
-    """
+def make_shifted(dataset: Dataset, shift) -> Dataset:
+    """Translate every feature vector by ``shift``; labels unchanged."""
     shift = np.asarray(shift, dtype=float)
     if shift.shape != (dataset.n_features,):
         raise ValueError(

@@ -119,14 +119,13 @@ class ExperimentCurves:
 
 def curves_from_results(results_by_method: dict, dataset: str = "",
                         arch: str = "") -> ExperimentCurves:
-    """Assemble ExperimentCurves from per-method experiment results
-    (anything exposing .per_seed as seed-major lists of round records)."""
+    """Assemble ExperimentCurves from per-method experiment results or
+    (seeds x rounds) accuracy arrays; see ``accuracy_matrix``."""
     acc = {}
     for name, result in results_by_method.items():
-        rows = [[rec.test_accuracy for rec in seq] for seq in result.per_seed]
-        if len({len(r) for r in rows}) > 1:
+        if len({len(seq) for seq in getattr(result, "per_seed", result)}) > 1:
             raise ValueError(f"{name!r} has uneven round counts across seeds")
-        acc[name] = np.array(rows, dtype=float)
+        acc[name] = accuracy_matrix(result)
     return ExperimentCurves(accuracies=acc, dataset=dataset, arch=arch)
 
 

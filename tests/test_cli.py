@@ -190,6 +190,35 @@ def test_main_run_smoke(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("verb, section, field, value, label", [
+    ("run", "train", "learning_rate", float("nan"), "train.learning_rate"),
+    ("run", "dataset", "spread", float("inf"), "dataset.spread"),
+    ("shift", None, "shift", [0.0, float("-inf"), 0.0, 0.0], "shift[1]"),
+])
+def test_non_finite_config_number_exits_2_naming_field(tmp_path, capsys, verb, section,
+                                                       field, value, label):
+    config = run_config() if verb == "run" else shift_config()
+    (config[section] if section else config)[field] = value
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    code = main([verb, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert label in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_runtime_failure_exits_1_and_writes_nothing(tmp_path, capsys):
+    config = run_config()
+    config["train"]["learning_rate"] = 1e300  # every seed diverges
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 1
+    assert "all seeds failed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ compare
 
 def planted_results(path, fingerprint, gap=0.1, n_seeds=6, n_points=5,
@@ -220,6 +249,8 @@ def planted_results(path, fingerprint, gap=0.1, n_seeds=6, n_points=5,
     }
     path.mkdir(parents=True, exist_ok=True)
     (path / "results.json").write_text(json.dumps(payload), encoding="utf-8")
+    (path / "manifest.json").write_text(
+        json.dumps({"command": "run", "fingerprint": fingerprint}), encoding="utf-8")
 
 
 def test_compare_planted_dominance(tmp_path):
@@ -291,6 +322,24 @@ def test_compare_empty_results_dir_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 2
     assert "results_dir" in capsys.readouterr().err
+
+
+def test_compare_reads_only_runs_with_a_manifest(tmp_path, capsys):
+    results = tmp_path / "results"
+    planted_results(results / "e1", "444444444444")
+    planted_results(results / "e2", "555555555555", noise_seed=1)
+    (results / "e2" / "manifest.json").unlink()
+    out = tmp_path / "out"
+    assert cmd_compare(results, "all", 0.05, out_flag=out) == 0
+    ppm = read_json(next(out.iterdir()) / "ppm.json")
+    assert ppm["experiments_counted"] == 1
+    assert ppm["manifest"]["config"]["inputs"] == ["444444444444"]
+
+    (results / "e1" / "manifest.json").unlink()
+    code = main(["compare", "--results", str(results), "--out", str(tmp_path / "out2")])
+    assert code == 2
+    assert "results_dir" in capsys.readouterr().err
+    assert not (tmp_path / "out2").exists()
 
 
 def test_compare_grid_mismatch_exits_1(tmp_path, capsys):
@@ -438,6 +487,21 @@ def test_contraction_outputs(tmp_path):
         assert report["bound_check"] is not None
         assert report["bound_check"]["lhs"] <= report["bound_check"]["rhs"] * (1 + 1e-9) \
             or not report["bound_check"]["holds"]
+
+
+def test_rerun_into_existing_dir_replaces_files_in_place(tmp_path):
+    config = contraction_config()
+    out = tmp_path / fingerprint_of(config)
+    assert cmd_contraction(config, out_flag=tmp_path) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert cmd_contraction(config, out_flag=tmp_path) == 0
+    second = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(second) == ["manifest.json", "report.json", "trace.csv"]
+    manifests = [json.loads(files.pop("manifest.json")) for files in (first, second)]
+    assert first == second
+    for manifest in manifests:
+        del manifest["started"], manifest["finished"]
+    assert manifests[0] == manifests[1]
 
 
 def test_contraction_invalid_section_exits_2(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
+from gradal.al_loop import ExperimentResult, RoundRecord
 from gradal.evaluation import (
     ComparisonSlice,
     ExperimentCurves,
@@ -11,6 +12,7 @@ from gradal.evaluation import (
     bh_adjusted,
     bh_fdr,
     build_ppm,
+    curves_from_results,
     loss_scores,
     paired_t_test,
 )
@@ -165,6 +167,28 @@ def test_curves_validate_grid():
         curves({"a": np.array([0.5, 0.6])})  # not 2-D
     with pytest.raises(ValueError):
         curves({})
+
+
+def test_curves_from_results_accepts_results_or_arrays():
+    grid = {"grad": [[0.5, 0.7, 0.9], [0.4, 0.6, 0.8]],
+            "random": [[0.5, 0.6, 0.7], [0.4, 0.5, 0.6]]}
+    results = {
+        m: ExperimentResult(
+            config_fingerprint="", method=m, seeds=(0, 1), learning_rate=0.01,
+            per_seed=[[RoundRecord(round=t, labeled_size=10 + t, test_accuracy=a,
+                                   acquisition_seconds=0.0)
+                       for t, a in enumerate(row)] for row in rows])
+        for m, rows in grid.items()
+    }
+    from_results = curves_from_results(results, dataset="d", arch="a")
+    from_arrays = curves_from_results(grid, dataset="d", arch="a")
+    assert from_results.methods == from_arrays.methods == ("grad", "random")
+    assert (from_results.dataset, from_results.arch) == (from_arrays.dataset, from_arrays.arch)
+    for m in grid:
+        assert np.array_equal(from_results.accuracies[m], from_arrays.accuracies[m])
+        assert np.array_equal(from_arrays.accuracies[m], np.array(grid[m]))
+    with pytest.raises(ValueError, match="uneven round counts"):
+        curves_from_results({"grad": [[0.5, 0.7], [0.4]]})
 
 
 def test_slice_rounds_skip_round_zero():
