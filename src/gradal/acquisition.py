@@ -19,7 +19,8 @@ from .model import (
     LAST_LAYER,
     ModelState,
     grad_embedding,
-    grad_embeddings,
+    grad_embedding_chunks,
+    last_layer_factors,
     mean_grad_embedding,
     penultimate,
     predict_proba,
@@ -100,16 +101,16 @@ def df_score(model: ModelState, dataset: Dataset, labeled, x_index: int,
 def df_scores(model: ModelState, dataset: Dataset, labeled, candidate_indices,
               scope: str = LAST_LAYER) -> np.ndarray:
     """Vectorized df_score over many candidates; the reference statistic is
-    computed once (full pass over the labeled set)."""
+    computed once (full pass over the labeled set). Candidates are scored one
+    row chunk at a time, so memory is bounded by the chunk, not their count."""
     labeled = np.asarray(labeled, dtype=np.int64)
     if labeled.size == 0:
         raise ValueError("labeled set must be nonempty")
     candidate_indices = np.asarray(candidate_indices, dtype=np.int64)
     ref = mean_grad_embedding(model, dataset, labeled, scope=scope).values
-    x = dataset.features[candidate_indices]
-    y_hat = pseudo_labels(model, x)
-    emb = grad_embeddings(model, x, y_hat, scope=scope)
-    return df_scores_from_embeddings(ref, emb, labeled.size)
+    chunks = grad_embedding_chunks(model, dataset.features[candidate_indices], scope=scope)
+    return np.concatenate([df_scores_from_embeddings(ref, emb, labeled.size)
+                           for emb in chunks])
 
 
 def _top_b(pool_indices: np.ndarray, scores: np.ndarray, b: int):
@@ -148,19 +149,35 @@ def select_entropy(model: ModelState, dataset: Dataset, pool: PoolState,
                             scores=[float(s) for s in chosen_scores])
 
 
-def kmeans_pp_indices(points: np.ndarray, k: int, rng: Rng) -> list:
+def _factored_sq_dists(a: np.ndarray, b: np.ndarray, sq: np.ndarray, c: int) -> np.ndarray:
+    """Squared distances from every row g_i = a_i (x) b_i to row c, from the
+    factors alone: sq_i + sq_c - 2 (a_i . a_c)(b_i . b_c), sq_i = ||g_i||^2.
+    Cancellation leaves a residue of order eps ||g||^2 at distance 0, so
+    negatives are clipped, and row c and its duplicates are set to exactly 0."""
+    d2 = sq + sq[c] - 2.0 * (a @ a[c]) * (b @ b[c])
+    np.maximum(d2, 0.0, out=d2)
+    d2[(a == a[c]).all(axis=1) & (b == b[c]).all(axis=1)] = 0.0
+    return d2
+
+
+def kmeans_pp_indices(points, k: int, rng: Rng) -> list:
     """k-means++ seeding over rows of ``points``: first center uniform, each
     next center drawn with probability proportional to the squared distance
     to the nearest chosen center. Returns row indices in selection order.
 
+    ``points`` is a 2-D array or a factor pair ``(a, b)`` of rows a_i (x) b_i
+    (a last-layer gradient is err (x) [h, 1]): a center costs O(n(|a| + |b|)).
+
     When all remaining squared distances are zero (duplicate-only pools),
     falls back to a uniform draw among not-yet-chosen rows.
     """
-    n = points.shape[0]
+    a, b = points if isinstance(points, tuple) else (points, np.ones((len(points), 1)))
+    sq = (a * a).sum(axis=1) * (b * b).sum(axis=1)
+    n = a.shape[0]
     k = min(int(k), n)
     first = int(rng.integers(0, n))
     chosen = [first]
-    d2 = ((points - points[first]) ** 2).sum(axis=1)
+    d2 = _factored_sq_dists(a, b, sq, first)
     while len(chosen) < k:
         total = float(d2.sum())
         if total <= 0.0:
@@ -169,19 +186,19 @@ def kmeans_pp_indices(points: np.ndarray, k: int, rng: Rng) -> list:
         else:
             nxt = int(rng.choice(n, p=d2 / total))
         chosen.append(nxt)
-        d2 = np.minimum(d2, ((points - points[nxt]) ** 2).sum(axis=1))
+        np.minimum(d2, _factored_sq_dists(a, b, sq, nxt), out=d2)
     return chosen
 
 
 def select_badge(model: ModelState, dataset: Dataset, pool: PoolState, b: int,
                  rng: Rng) -> AcquisitionBatch:
     """BADGE: k-means++ seeding over pseudo-labeled last-layer gradient
-    embeddings of the pool; indices returned in selection order."""
+    embeddings of the pool, kept in factored form; indices returned in
+    selection order."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    x = dataset.features[pool.unlabeled]
-    emb = grad_embeddings(model, x, pseudo_labels(model, x), scope=LAST_LAYER)
-    rows = kmeans_pp_indices(emb, b, rng)
+    factors = last_layer_factors(model, dataset.features[pool.unlabeled])
+    rows = kmeans_pp_indices(factors, b, rng)
     return AcquisitionBatch(indices=pool.unlabeled[rows], method="badge",
                             round=pool.round, scores=None)
 

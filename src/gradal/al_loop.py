@@ -115,7 +115,10 @@ def _run_seed(cfg: ExperimentConfig, dataset: Dataset, train_idx, test_idx,
         model = init_model(cfg.arch, seed=derive_seed(seed, "init", t))
         round_cfg = replace(cfg.train, learning_rate=learning_rate,
                             seed=derive_seed(seed, "train", t))
-        model = train(model, dataset, pool.labeled, round_cfg)
+        try:
+            model = train(model, dataset, pool.labeled, round_cfg)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"{cfg.method} round {t}: {exc}") from exc
         accuracy = evaluate_accuracy(model, dataset, test_idx)
         if t == cfg.rounds:
             records.append(RoundRecord(t, int(pool.labeled.size), accuracy, 0.0))

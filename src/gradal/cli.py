@@ -380,19 +380,15 @@ def parse_slice(text: str) -> ComparisonSlice:
         f"slice: unknown slice {text!r} (use all|early|late|by-dataset:<name>|by-arch:<name>)")
 
 
-def _load_results_files(results_dir: Path):
-    """Load every results.json of a complete run: one whose directory also
-    holds manifest.json."""
+def _results_paths(results_dir: Path) -> list:
+    """Every results.json of a complete run (one whose directory also holds
+    manifest.json), in sorted order."""
     paths = sorted(p for p in results_dir.glob("**/results.json")
                    if (p.parent / "manifest.json").is_file())
     if not paths:
         raise ConfigError(
             f"results_dir: no results.json with a manifest.json found under {results_dir}")
-    loaded = []
-    for p in paths:
-        with open(p, encoding="utf-8") as fh:
-            loaded.append((p, json.load(fh)))
-    return loaded
+    return paths
 
 
 def _curves_from_payload(path: Path, payload: dict):
@@ -413,11 +409,16 @@ def cmd_compare(results_dir, slice_name: str, alpha: float, out_flag=None) -> in
     comparison_slice = parse_slice(slice_name)
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError("alpha: must be in [0, 1]")
-    loaded = _load_results_files(Path(results_dir))
-    experiments, bad = [], []
-    for path, payload in loaded:
+    # a run found twice (a copied or re-rooted directory) counts once
+    runs, experiments, bad = {}, [], []
+    for path in _results_paths(Path(results_dir)):
         try:
-            experiments.append(_curves_from_payload(path, payload))
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            fingerprint = payload["manifest"]["fingerprint"]
+            if fingerprint not in runs:
+                experiments.append(_curves_from_payload(path, payload))
+                runs[fingerprint] = path
         except (ValueError, KeyError, TypeError) as exc:
             bad.append(f"{path}: {exc}")
     if bad:
@@ -428,7 +429,7 @@ def cmd_compare(results_dir, slice_name: str, alpha: float, out_flag=None) -> in
         ppm = build_ppm(experiments, comparison_slice, alpha if alpha > 0.0 else 1.0)
     except ValueError as exc:
         raise RuntimeError(
-            f"{exc}; experiments: " + ", ".join(str(p) for p, _ in loaded)) from exc
+            f"{exc}; experiments: " + ", ".join(str(p) for p in runs.values())) from exc
     if alpha == 0.0:
         ppm = PenaltyMatrix(methods=ppm.methods, P=np.zeros_like(ppm.P),
                             experiments_counted=ppm.experiments_counted)
@@ -438,7 +439,7 @@ def cmd_compare(results_dir, slice_name: str, alpha: float, out_flag=None) -> in
         "command": "compare",
         "slice": slice_name,
         "alpha": alpha,
-        "inputs": sorted(payload["manifest"]["fingerprint"] for _, payload in loaded),
+        "inputs": sorted(runs),
     }
     return _emit("compare", config, out_flag, started, {
         "ppm.json": {

@@ -108,15 +108,17 @@ class GradEmbedding:
 
 
 def _layers(params: np.ndarray, arch: ArchSpec):
-    """Views of the flat vector as [(W, b), ...] without copying."""
+    """Views of the flat vector as [(W, b), ...] without copying; for an
+    (n, n_params) stack of flat vectors, views with a leading row axis."""
     sizes = arch.layer_sizes
     out = []
     offset = 0
     for i in range(len(sizes) - 1):
         fan_in, fan_out = sizes[i], sizes[i + 1]
-        w = params[offset:offset + fan_out * fan_in].reshape(fan_out, fan_in)
+        w = params[..., offset:offset + fan_out * fan_in].reshape(
+            *params.shape[:-1], fan_out, fan_in)
         offset += fan_out * fan_in
-        b = params[offset:offset + fan_out]
+        b = params[..., offset:offset + fan_out]
         offset += fan_out
         out.append((w, b))
     return out
@@ -156,6 +158,15 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _output_error(params: np.ndarray, arch: ArchSpec, x: np.ndarray, y=None):
+    """(activations, softmax - onehot(y)) from one forward pass; ``y`` None
+    takes each row's pseudo-label: the argmax, lowest class id on ties."""
+    acts, logits = _forward(params, arch, x)
+    err = _softmax(logits)
+    err[np.arange(x.shape[0]), np.argmax(err, axis=1) if y is None else y] -= 1.0
+    return acts, err
+
+
 def predict_proba(model: ModelState, features: np.ndarray) -> np.ndarray:
     """Softmax class probabilities, one row per input row."""
     _, logits = _forward(model.params, model.arch, np.atleast_2d(features))
@@ -181,11 +192,8 @@ def loss_mean(model: ModelState, dataset: Dataset, indices) -> float:
 
 def _mean_grad(params: np.ndarray, arch: ArchSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean cross-entropy over (x, y), flat layout."""
-    n = x.shape[0]
-    acts, logits = _forward(params, arch, x)
-    delta = _softmax(logits)
-    delta[np.arange(n), y] -= 1.0
-    delta /= n
+    acts, delta = _output_error(params, arch, x, y)
+    delta /= x.shape[0]
     grad = np.zeros_like(params)
     g_layers = _layers(grad, arch)
     w_layers = _layers(params, arch)
@@ -202,7 +210,7 @@ def train(model: ModelState, dataset: Dataset, indices, cfg: TrainConfig) -> Mod
     """SGD with heavy-ball momentum and per-epoch seeded shuffling.
 
     The incomplete final minibatch of each epoch is used, not dropped.
-    Raises if parameters stop being finite (diverged run), naming the epoch.
+    Raises if parameters stop being finite, naming the epoch and the rate.
     """
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
@@ -221,66 +229,66 @@ def train(model: ModelState, dataset: Dataset, indices, cfg: TrainConfig) -> Mod
             velocity = cfg.momentum * velocity + grad
             params -= cfg.learning_rate * velocity
         if not np.isfinite(params).all():
-            raise ArithmeticError(f"training diverged at epoch {epoch}")
+            raise ArithmeticError(f"training diverged at epoch {epoch} "
+                                  f"at learning rate {cfg.learning_rate:g}")
     return ModelState(params=params, arch=model.arch, init_seed=model.init_seed)
 
 
-def _last_layer_embeddings(model: ModelState, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n, (h+1)*C) closed-form last-layer gradients for labeled rows.
-
-    Row layout matches the flat parameter order: weight rows by class,
-    then the bias block.
-    """
-    h = penultimate(model, x)
-    p = predict_proba(model, x)
-    err = p.copy()
-    err[np.arange(x.shape[0]), y] -= 1.0
-    w_block = np.einsum("nc,nh->nch", err, h).reshape(x.shape[0], -1)
-    return np.concatenate([w_block, err], axis=1)
+def last_layer_factors(model: ModelState, features: np.ndarray, labels=None):
+    """One forward pass to the factor pair ``(err, h1)`` of last-layer
+    gradients: row i's gradient is the outer product of err_i = softmax_i -
+    onehot(y_i) with h1_i = [penultimate_i, 1]. ``labels`` None takes each
+    row's pseudo-label from the same softmax (argmax, lowest id on ties)."""
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    acts, err = _output_error(model.params, model.arch, features, labels)
+    return err, np.concatenate([acts[-1], np.ones((features.shape[0], 1))], axis=1)
 
 
 def _full_embeddings(model: ModelState, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(n, n_params) per-example full-parameter gradients via backprop."""
     arch = model.arch
-    n = x.shape[0]
-    acts, logits = _forward(model.params, arch, x)
-    delta = _softmax(logits)
-    delta[np.arange(n), y] -= 1.0
-    out = np.empty((n, arch.n_params))
+    acts, delta = _output_error(model.params, arch, x, y)
+    out = np.empty((x.shape[0], arch.n_params))
+    g_layers = _layers(out, arch)
     w_layers = _layers(model.params, arch)
-    sizes = arch.layer_sizes
-    offsets = []
-    offset = 0
-    for i in range(len(sizes) - 1):
-        offsets.append(offset)
-        offset += sizes[i + 1] * sizes[i] + sizes[i + 1]
     for i in range(len(w_layers) - 1, -1, -1):
-        fan_out, fan_in = w_layers[i][0].shape
-        start = offsets[i]
-        gw = np.einsum("no,ni->noi", delta, acts[i]).reshape(n, fan_out * fan_in)
-        out[:, start:start + fan_out * fan_in] = gw
-        out[:, start + fan_out * fan_in:start + fan_out * fan_in + fan_out] = delta
+        gw, gb = g_layers[i]
+        np.einsum("no,ni->noi", delta, acts[i], out=gw)
+        gb[:] = delta
         if i > 0:
             delta = (delta @ w_layers[i][0]) * (acts[i] > 0)
     return out
 
 
+def grad_embedding_chunks(model: ModelState, features: np.ndarray, labels=None,
+                          scope: str = LAST_LAYER, chunk: int = 256):
+    """Per-example gradient embeddings of the rows of ``features``, yielded
+    ``chunk`` rows at a time, so that a caller reducing each block holds at
+    most chunk x embedding_dim of them. ``labels`` None scores each row
+    under its pseudo-label (argmax, lowest id on ties)."""
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    starts = range(0, max(features.shape[0], 1), chunk)  # no rows: one empty block
+    if scope == LAST_LAYER:
+        err, h1 = last_layer_factors(model, features, labels)
+        for i in starts:
+            e, h = err[i:i + chunk], h1[i:i + chunk, :-1]
+            # weight rows by class, then the bias block: the flat parameter order
+            yield np.concatenate([np.einsum("nc,nh->nch", e, h).reshape(len(e), -1), e], axis=1)
+    elif scope == FULL:
+        if labels is None:
+            labels = np.argmax(predict_proba(model, features), axis=1)
+        for i in starts:
+            yield _full_embeddings(model, features[i:i + chunk], labels[i:i + chunk])
+    else:
+        raise ValueError(f"unknown scope {scope!r}")
+
+
 def grad_embeddings(model: ModelState, features: np.ndarray, labels: np.ndarray,
                     scope: str = LAST_LAYER, chunk: int = 256) -> np.ndarray:
     """Per-example gradient embeddings for rows of ``features`` under the
-    given labels, one embedding per row. Full scope is evaluated in chunks
-    to bound memory."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    labels = np.asarray(labels, dtype=np.int64)
-    if scope == LAST_LAYER:
-        return _last_layer_embeddings(model, features, labels)
-    if scope == FULL:
-        parts = [
-            _full_embeddings(model, features[i:i + chunk], labels[i:i + chunk])
-            for i in range(0, features.shape[0], chunk)
-        ]
-        return np.concatenate(parts, axis=0)
-    raise ValueError(f"unknown scope {scope!r}")
+    given labels, one embedding per row."""
+    return np.concatenate(list(grad_embedding_chunks(
+        model, features, np.asarray(labels, dtype=np.int64), scope, chunk)), axis=0)
 
 
 def grad_embedding(model: ModelState, x: np.ndarray, y: int, scope: str = LAST_LAYER) -> GradEmbedding:
@@ -301,11 +309,8 @@ def mean_grad_embedding(model: ModelState, dataset: Dataset, indices,
     x = dataset.features[indices]
     y = dataset.labels[indices]
     if scope == LAST_LAYER:
-        h = penultimate(model, x)
-        p = predict_proba(model, x)
-        err = p.copy()
-        err[np.arange(indices.size), y] -= 1.0
-        w_block = (err.T @ h) / indices.size
+        err, h1 = last_layer_factors(model, x, y)
+        w_block = (err.T @ h1[:, :-1]) / indices.size
         values = np.concatenate([w_block.ravel(), err.mean(axis=0)])
         return GradEmbedding(values=values, scope=scope)
     if scope == FULL:

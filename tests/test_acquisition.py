@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gradal.acquisition import (
     METHODS,
     AcquisitionBatch,
+    _factored_sq_dists,
     df_score,
     df_scores,
     df_scores_from_embeddings,
@@ -24,11 +26,14 @@ from gradal.acquisition import (
 from gradal.data import Dataset, PoolState, make_blobs
 from gradal.model import (
     FULL,
+    LAST_LAYER,
     ArchSpec,
     ModelState,
     TrainConfig,
     grad_embedding,
+    grad_embeddings,
     init_model,
+    last_layer_factors,
     mean_grad_embedding,
     penultimate,
     predict_proba,
@@ -307,6 +312,108 @@ def test_kmeans_pp_three_point_enumeration():
         expected = (1.0 / 3.0) * law[i][j]
         sigma = np.sqrt(expected * (1 - expected) / reps)
         assert abs(c / reps - expected) <= 4 * sigma, (i, j)
+
+
+# ------------------------------------------------------------ factored kernel
+
+def random_net_pool(seed, hidden):
+    """An untrained random net and a 43-row pool whose rows 40-42 copy row 0."""
+    arch = ArchSpec(input_dim=4, n_classes=3, hidden_widths=hidden)
+    x = Rng(seed, "factored-pool").normal(size=(40, 4)) * 2.0
+    return init_model(arch, seed), np.vstack([x, np.tile(x[:1], (3, 1))])
+
+
+NETS = [(0, ()), (1, (5,)), (2, (8, 6)), (3, (16,))]
+
+
+class RecordingRng(Rng):
+    """An Rng that keeps every sampling law handed to ``choice``."""
+
+    def __init__(self, seed, label="root"):
+        super().__init__(seed, label)
+        self.laws = []
+
+    def choice(self, n, size=None, replace=True, p=None):
+        self.laws.append(np.array(p))
+        return super().choice(n, size=size, replace=replace, p=p)
+
+
+@pytest.mark.parametrize("seed,hidden", NETS)
+def test_factored_sq_dists_match_dense_oracle(seed, hidden):
+    model, x = random_net_pool(seed, hidden)
+    a, b = last_layer_factors(model, x)
+    g = grad_embeddings(model, x, pseudo_labels(model, x))
+    sq = (a * a).sum(axis=1) * (b * b).sum(axis=1)
+    assert np.allclose(sq, (g * g).sum(axis=1), rtol=1e-12, atol=0.0)
+    for c in range(x.shape[0]):
+        dense = ((g - g[c]) ** 2).sum(axis=1)
+        fact = _factored_sq_dists(a, b, sq, c)
+        assert np.all(np.abs(fact - dense) <= 1e-9 * (sq + sq[c]))
+
+
+@pytest.mark.parametrize("seed,hidden", NETS)
+def test_factored_sq_dists_zero_chosen_and_duplicate_rows(seed, hidden):
+    model, x = random_net_pool(seed, hidden)
+    a, b = last_layer_factors(model, x)
+    sq = (a * a).sum(axis=1) * (b * b).sum(axis=1)
+    copies_of_0 = [0, 40, 41, 42]
+    for c in (0, 41, 7):
+        d2 = _factored_sq_dists(a, b, sq, c)
+        assert d2[c] == 0.0
+        assert np.all(d2 >= 0.0)
+        if c in copies_of_0:
+            assert np.all(d2[copies_of_0] == 0.0)
+        assert np.count_nonzero(d2 == 0.0) == (4 if c in copies_of_0 else 1)
+
+
+@pytest.mark.parametrize("seed,hidden", NETS)
+def test_kmeans_pp_factored_law_matches_dense_law(seed, hidden):
+    model, x = random_net_pool(seed, hidden)
+    g = grad_embeddings(model, x, pseudo_labels(model, x))
+    for rep in range(5):
+        rng = RecordingRng(rep, "factored-law")
+        rows = kmeans_pp_indices(last_layer_factors(model, x), 12, rng)
+        assert rows == kmeans_pp_indices(g, 12, Rng(rep, "factored-law"))
+        d2 = ((g - g[rows[0]]) ** 2).sum(axis=1)
+        for k, law in enumerate(rng.laws, start=1):
+            assert np.abs(law - d2 / d2.sum()).max() <= 1e-9
+            assert np.all(law[rows[:k]] == 0.0)
+            if {0, 40, 41, 42} & set(rows[:k]):
+                assert np.all(law[[0, 40, 41, 42]] == 0.0)
+            d2 = np.minimum(d2, ((g - g[rows[k]]) ** 2).sum(axis=1))
+
+
+@pytest.mark.parametrize("scope", [LAST_LAYER, FULL])
+def test_streamed_df_scores_equal_dense_scores_bitwise(scope):
+    # more candidates than one 256-row chunk, so the stream has several blocks
+    ds = make_blobs(700, 3, 4, spread=0.8, seed=5)
+    arch = ArchSpec(input_dim=4, n_classes=3, hidden_widths=(8, 6))
+    model = train(init_model(arch, 0), ds, np.arange(30),
+                  TrainConfig(learning_rate=0.01, epochs=3, seed=0))
+    labeled, candidates = np.arange(30), np.arange(30, 700)
+    ref = mean_grad_embedding(model, ds, labeled, scope=scope).values
+    x = ds.features[candidates]
+    dense = df_scores_from_embeddings(
+        ref, grad_embeddings(model, x, pseudo_labels(model, x), scope=scope), labeled.size)
+    assert np.array_equal(df_scores(model, ds, labeled, candidates, scope=scope), dense)
+
+
+def test_full_scope_df_scores_memory_is_bounded_by_the_chunk():
+    ds = make_blobs(2_100, 4, 20, spread=1.0, seed=1)
+    arch = ArchSpec(input_dim=20, n_classes=4, hidden_widths=(64, 32))
+    model = init_model(arch, 0)
+    candidates = np.arange(100, 2_100)
+    # a 256-row chunk's embeddings, their difference from the reference and
+    # its squares, plus slack; materializing all candidates takes 23 of these
+    chunk_bytes = 256 * arch.n_params * 8
+    tracemalloc.start()
+    try:
+        scores = df_scores(model, ds, np.arange(100), candidates, scope=FULL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == (candidates.size,)
+    assert peak < 4 * chunk_bytes
 
 
 # ------------------------------------------------------------ k-center

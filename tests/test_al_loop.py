@@ -252,6 +252,15 @@ def test_all_seeds_failing_raises():
         run_experiment(cfg, ds)
 
 
+def test_divergence_error_names_method_round_and_learning_rate():
+    ds = small_dataset()
+    cfg = small_config(method="entropy", rounds=1,
+                       train=TrainConfig(learning_rate=1e300, epochs=2, seed=0))
+    message = r"entropy round 0: training diverged at epoch \d+ at learning rate 1e\+300"
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match=message):
+        run_experiment(cfg, ds)
+
+
 def test_sweep_lr_replaces_configured_rate():
     ds = small_dataset(n=160)
     cfg = small_config(

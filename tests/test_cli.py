@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import jsonschema
@@ -340,6 +341,34 @@ def test_compare_reads_only_runs_with_a_manifest(tmp_path, capsys):
     assert code == 2
     assert "results_dir" in capsys.readouterr().err
     assert not (tmp_path / "out2").exists()
+
+
+def test_compare_names_a_results_file_that_is_not_json(tmp_path, capsys):
+    results = tmp_path / "results"
+    planted_results(results / "e1", "666666666666")
+    planted_results(results / "e2", "777777777777", noise_seed=1)
+    (results / "e2" / "results.json").write_text("{not json", encoding="utf-8")
+    code = main(["compare", "--results", str(results), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "unusable result files" in err
+    assert str(results / "e2" / "results.json") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_counts_a_run_found_twice_once(tmp_path):
+    single = tmp_path / "single"
+    planted_results(single / "e1", "888888888888")
+    results = tmp_path / "results"
+    shutil.copytree(single / "e1", results / "a" / "e1")
+    shutil.copytree(single / "e1", results / "b" / "e1")
+    assert cmd_compare(single, "all", 0.05, out_flag=tmp_path / "out1") == 0
+    assert cmd_compare(results, "all", 0.05, out_flag=tmp_path / "out2") == 0
+    once = read_json(next((tmp_path / "out1").iterdir()) / "ppm.json")
+    twice = read_json(next((tmp_path / "out2").iterdir()) / "ppm.json")
+    assert twice["experiments_counted"] == 1
+    assert twice["manifest"]["config"]["inputs"] == ["888888888888"]
+    assert twice["P"] == once["P"]
 
 
 def test_compare_grid_mismatch_exits_1(tmp_path, capsys):
