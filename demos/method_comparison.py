@@ -18,7 +18,7 @@ from gradal import (
     curves_from_results,
     loss_scores,
     make_blobs,
-    run_experiment,
+    run_experiments,
 )
 
 METHODS = ("grad", "entropy", "random")
@@ -30,18 +30,16 @@ def run_one(name, n_samples, n_classes, n_features, spread, data_seed,
     ds = make_blobs(n_samples, n_classes, n_features, spread=spread, seed=data_seed)
     ds.name = name
     arch = ArchSpec(input_dim=n_features, n_classes=n_classes, hidden_widths=widths)
-    results = {}
-    for method in METHODS:
-        cfg = ExperimentConfig(
-            arch=arch,
-            train=TrainConfig(learning_rate=0.01, epochs=epochs),
-            method=method,
-            b=b,
-            rounds=rounds,
-            seeds=tuple(range(10)),
-            split_spec=SplitSpec(test_fraction=0.2, seed=0),
-        )
-        results[method] = run_experiment(cfg, ds, threads=4)
+    cfgs = [ExperimentConfig(
+        arch=arch,
+        train=TrainConfig(learning_rate=0.01, epochs=epochs),
+        method=method,
+        b=b,
+        rounds=rounds,
+        seeds=tuple(range(10)),
+        split_spec=SplitSpec(test_fraction=0.2, seed=0),
+    ) for method in METHODS]
+    results = dict(zip(METHODS, run_experiments(cfgs, ds)))
     return curves_from_results(results, dataset=name)
 
 

@@ -12,7 +12,7 @@ from gradal import (
     SplitSpec,
     TrainConfig,
     make_blobs,
-    run_experiment,
+    run_experiments,
 )
 
 SEEDS = (0, 1, 2, 3)
@@ -24,17 +24,17 @@ arch = ArchSpec(input_dim=6, n_classes=4, hidden_widths=(32, 16))
 train_cfg = TrainConfig(learning_rate=0.01, epochs=20)
 
 print(f"pool run: b={BATCH}, T={ROUNDS}, {len(SEEDS)} seeds")
-for method in ("grad", "entropy", "random"):
-    cfg = ExperimentConfig(
-        arch=arch,
-        train=train_cfg,
-        method=method,
-        b=BATCH,
-        rounds=ROUNDS,
-        seeds=SEEDS,
-        split_spec=SplitSpec(test_fraction=0.2, seed=0),
-    )
-    result = run_experiment(cfg, dataset, threads=4)
+methods = ("grad", "entropy", "random")
+cfgs = [ExperimentConfig(
+    arch=arch,
+    train=train_cfg,
+    method=method,
+    b=BATCH,
+    rounds=ROUNDS,
+    seeds=SEEDS,
+    split_spec=SplitSpec(test_fraction=0.2, seed=0),
+) for method in methods]
+for method, result in zip(methods, run_experiments(cfgs, dataset)):
     acc = np.array([[r.test_accuracy for r in records] for records in result.per_seed])
     curve = acc.mean(axis=0)
     sizes = [r.labeled_size for r in result.per_seed[0]]

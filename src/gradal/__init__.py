@@ -31,6 +31,7 @@ from .al_loop import (
     RoundRecord,
     evaluate_accuracy,
     run_experiment,
+    run_experiments,
 )
 from .contraction import (
     ContractionConfig,

@@ -7,7 +7,6 @@ only, and per-round model init / shuffling from (seed, round). Two methods
 run under the same seed therefore share initial sets and initializations.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -20,10 +19,11 @@ from .model import (
     SCOPES,
     ArchSpec,
     TrainConfig,
+    diverged_error,
     init_model,
     predict_proba,
     sweep_learning_rate,
-    train,
+    train_stack,
 )
 from .numerics import Rng, derive_seed
 
@@ -105,104 +105,81 @@ def evaluate_accuracy(model, dataset: Dataset, test) -> float:
     return float(np.mean(pred == dataset.labels[test]))
 
 
-def _run_seed(cfg: ExperimentConfig, dataset: Dataset, train_idx, test_idx,
-              seed: int, learning_rate: float):
-    """All rounds for one experiment seed. Returns (records, truncated)."""
-    pool = init_pool(train_idx, cfg.init_size, seed)
-    records = []
+def run_experiments(cfgs, dataset: Dataset, fingerprint: str = "") -> list:
+    """One ExperimentResult per config, in order; the configs may differ only
+    in ``method``. Round-major: at round t every live (method, seed) has
+    init_size + t*b labeled points and an init and shuffle keyed by (seed,
+    t), so all train as one ``train_stack``; round 0 trains one row per seed
+    for all methods. A diverging (method, seed) goes to seed_errors and drops
+    out; if every seed of a method diverges the error is raised."""
+    cfg = cfgs[0]
+    if (len({c.method for c in cfgs}) < len(cfgs)
+            or any(replace(c, method=cfg.method) != cfg for c in cfgs)):
+        raise ValueError("configs must name distinct methods and differ only in method")
+    train_idx, val_idx, test_idx = split(dataset, cfg.split_spec)
+    if train_idx.size < cfg.init_size + min(1, cfg.rounds):
+        raise ValueError("training split smaller than the initial labeled set")
+    learning_rate = cfg.train.learning_rate
+    if cfg.sweep_lr:
+        if val_idx.size == 0:
+            raise ValueError("learning-rate sweep needs a validation split")
+        probe = init_pool(train_idx, cfg.init_size, cfg.seeds[0]).labeled
+        learning_rate = sweep_learning_rate(cfg.arch, dataset, probe, val_idx, cfg.train,
+                                            seed=derive_seed(cfg.seeds[0], "sweep"))
+
+    keys = [(c.method, s) for c in cfgs for s in cfg.seeds]
+    pools = {key: init_pool(train_idx, cfg.init_size, key[1]) for key in keys}
+    records = {key: [] for key in keys}
+    errors = {}
     truncated = False
     for t in range(cfg.rounds + 1):
-        model = init_model(cfg.arch, seed=derive_seed(seed, "init", t))
-        round_cfg = replace(cfg.train, learning_rate=learning_rate,
-                            seed=derive_seed(seed, "train", t))
-        try:
-            model = train(model, dataset, pool.labeled, round_cfg)
-        except ArithmeticError as exc:
-            raise ArithmeticError(f"{cfg.method} round {t}: {exc}") from exc
-        accuracy = evaluate_accuracy(model, dataset, test_idx)
-        if t == cfg.rounds:
-            records.append(RoundRecord(t, int(pool.labeled.size), accuracy, 0.0))
+        live = list(pools)
+        # one stack row per distinct labeled set: at round 0 all methods of a
+        # seed hold the seed's initial set, so they share the seed's row
+        heads = [(cfg.method, s) for s in cfg.seeds] if t == 0 else live
+        row = {key: cfg.seeds.index(key[1]) if t == 0 else m for m, key in enumerate(live)}
+        inits = [init_model(cfg.arch, seed=derive_seed(s, "init", t)) for _, s in heads]
+        params, diverged = train_stack(
+            cfg.arch, [model.params for model in inits], [pools[key].labeled for key in heads],
+            [derive_seed(s, "train", t) for _, s in heads], dataset, learning_rate,
+            cfg.train.momentum, cfg.train.minibatch_size, cfg.train.epochs)
+        for key in live:
+            (method, seed), m = key, row[key]
+            if diverged[m] >= 0:
+                errors[key] = f"{method} round {t}: {diverged_error(diverged[m], learning_rate)}"
+                del pools[key]
+                continue
+            pool = pools[key]
+            model = replace(inits[m], params=params[m])
+            accuracy = evaluate_accuracy(model, dataset, test_idx)
+            batch, seconds = None, 0.0
+            if t < cfg.rounds and pool.unlabeled.size:
+                rng = Rng(seed).derive(f"select/{method}/round{t}")
+                batch, seconds = timed_select(method, model, dataset, pool, cfg.b,
+                                              rng, scope=cfg.scope)
+                pools[key] = pool.acquire(batch.indices)
+            # every live pool has the same size, so all run out in the same round
+            truncated = t < cfg.rounds and not pool.unlabeled.size
+            records[key].append(RoundRecord(t, int(pool.labeled.size), accuracy, seconds, batch))
+        if truncated or not pools:
             break
-        if pool.unlabeled.size == 0:
-            records.append(RoundRecord(t, int(pool.labeled.size), accuracy, 0.0))
-            truncated = True
-            break
-        rng = Rng(seed).derive(f"select/{cfg.method}/round{t}")
-        batch, seconds = timed_select(cfg.method, model, dataset, pool, cfg.b,
-                                      rng, scope=cfg.scope)
-        records.append(RoundRecord(t, int(pool.labeled.size), accuracy,
-                                   seconds, batch))
-        pool = pool.acquire(batch.indices)
-    return records, truncated
 
-
-def resolve_learning_rate(cfg: ExperimentConfig, dataset: Dataset,
-                          train_idx, val_idx) -> float:
-    """The configured rate, or the sweep winner when sweep_lr is set (swept
-    on the first seed's initial labeled set, scored on the validation split)."""
-    if not cfg.sweep_lr:
-        return cfg.train.learning_rate
-    if np.asarray(val_idx).size == 0:
-        raise ValueError("learning-rate sweep needs a validation split")
-    probe = init_pool(train_idx, cfg.init_size, cfg.seeds[0])
-    return sweep_learning_rate(cfg.arch, dataset, probe.labeled, val_idx,
-                               cfg.train, seed=derive_seed(cfg.seeds[0], "sweep"))
+    results = []
+    for c in cfgs:
+        kept = tuple(s for s in cfg.seeds if (c.method, s) not in errors)
+        failed = [{"seed": s, "error": errors[(c.method, s)]}
+                  for s in cfg.seeds if (c.method, s) in errors]
+        if not kept:
+            raise ArithmeticError(f"all seeds failed: {failed}")
+        results.append(ExperimentResult(
+            config_fingerprint=fingerprint, method=c.method, seeds=kept,
+            per_seed=[records[(c.method, s)] for s in kept],
+            learning_rate=float(learning_rate), truncated=truncated, seed_errors=failed))
+    return results
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset,
-                   fingerprint: str = "", threads: int = 1) -> ExperimentResult:
-    """Run every seed of one method's schedule.
-
-    Seeds are independent, so they may run on a thread pool; results are
-    merged in config seed order either way. A diverging seed is recorded in
-    seed_errors instead of failing the experiment; if every seed diverges
-    the error is raised.
-    """
-    train_idx, val_idx, test_idx = split(dataset, cfg.split_spec)
-    needed = cfg.init_size + min(1, cfg.rounds)
-    if train_idx.size < needed:
-        raise ValueError("training split smaller than the initial labeled set")
-    learning_rate = resolve_learning_rate(cfg, dataset, train_idx, val_idx)
-
-    def one(seed):
-        return _run_seed(cfg, dataset, train_idx, test_idx, seed, learning_rate)
-
-    outcomes = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {s: pool.submit(one, s) for s in cfg.seeds}
-            for s, fut in futures.items():
-                try:
-                    outcomes[s] = fut.result()
-                except ArithmeticError as exc:
-                    outcomes[s] = exc
-    else:
-        for s in cfg.seeds:
-            try:
-                outcomes[s] = one(s)
-            except ArithmeticError as exc:
-                outcomes[s] = exc
-
-    per_seed, kept, errors, truncated = [], [], [], False
-    for s in cfg.seeds:
-        out = outcomes[s]
-        if isinstance(out, ArithmeticError):
-            errors.append({"seed": int(s), "error": str(out)})
-            continue
-        records, was_truncated = out
-        per_seed.append(records)
-        kept.append(int(s))
-        truncated = truncated or was_truncated
-    if not per_seed:
-        raise ArithmeticError(f"all seeds failed: {errors}")
-    if len({len(r) for r in per_seed}) > 1:
-        raise RuntimeError("seeds produced unequal round counts")
-    return ExperimentResult(
-        config_fingerprint=fingerprint,
-        method=cfg.method,
-        seeds=tuple(kept),
-        per_seed=per_seed,
-        learning_rate=float(learning_rate),
-        truncated=truncated,
-        seed_errors=errors,
-    )
+                   fingerprint: str = "") -> ExperimentResult:
+    """Run every seed of one method's schedule: ``run_experiments`` with a
+    single config."""
+    return run_experiments([cfg], dataset, fingerprint)[0]

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .acquisition import METHODS, df_scores, pseudo_labels, timed_select
-from .al_loop import ExperimentConfig, run_experiment
+from .al_loop import ExperimentConfig, run_experiments
 from .contraction import ContractionConfig, cumulative_df_bound_check, run_contraction_trace
 from .data import (
     Dataset,
@@ -295,7 +295,7 @@ def _batch_dict(batch):
 
 # ---------------------------------------------------------------- run
 
-def cmd_run(config: dict, out_flag=None, threads: int = 1) -> int:
+def cmd_run(config: dict, out_flag=None) -> int:
     started = _timestamp()
     dataset = build_dataset(_get(config, "dataset", dict, required=True))
     split_spec = build_split(_get(config, "split", dict, {}))
@@ -314,18 +314,14 @@ def cmd_run(config: dict, out_flag=None, threads: int = 1) -> int:
         train_idx, _, _ = split(dataset, split_spec)
         dataset = _standardized(dataset, train_idx)
 
-    fingerprint = fingerprint_of(config)
-    per_method = {}
-    for method in methods:
-        try:
-            cfg = ExperimentConfig(
-                arch=arch, train=train_cfg, method=method, b=b, rounds=rounds,
-                seeds=seeds, initial_size=initial_size, scope=scope,
-                split_spec=split_spec, sweep_lr=sweep_lr)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        per_method[method] = run_experiment(cfg, dataset, fingerprint=fingerprint,
-                                            threads=threads)
+    try:
+        cfgs = [ExperimentConfig(
+            arch=arch, train=train_cfg, method=method, b=b, rounds=rounds,
+            seeds=seeds, initial_size=initial_size, scope=scope,
+            split_spec=split_spec, sweep_lr=sweep_lr) for method in methods]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    per_method = dict(zip(methods, run_experiments(cfgs, dataset, fingerprint_of(config))))
 
     results = {
         "manifest": {"dataset_name": dataset.name, "arch_name": _arch_name(arch)},
@@ -713,9 +709,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory root")
         return p
 
-    run_p = add_config_verb("run", "run acquisition experiments")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="worker threads across seeds")
+    add_config_verb("run", "run acquisition experiments")
 
     cmp_p = sub.add_parser("compare", help="aggregate results into a penalty matrix")
     cmp_p.add_argument("--results", required=True, help="directory of results.json runs")
@@ -735,7 +729,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.verb == "run":
-            return cmd_run(load_config(args.config), args.out, threads=args.threads)
+            return cmd_run(load_config(args.config), args.out)
         if args.verb == "compare":
             return cmd_compare(args.results, args.slice, args.alpha, args.out)
         if args.verb == "geometry":

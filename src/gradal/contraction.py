@@ -18,9 +18,10 @@ from .model import (
     SCOPES,
     ArchSpec,
     ModelState,
-    _mean_grad,
+    diverged_error,
     init_model,
     mean_grad_embedding,
+    train_stack,
 )
 from .numerics import Rng, derive_seed, l2_norm
 
@@ -127,31 +128,19 @@ def run_contraction_trace(cfg: ContractionConfig, dataset: Dataset,
 
     arch = ArchSpec(input_dim=dataset.n_features, n_classes=dataset.n_classes,
                     hidden_widths=tuple(cfg.hidden_widths))
-    model = init_model(arch, seed=derive_seed(cfg.seed, "init"))
-    params = model.params.copy()
-    velocity = np.zeros_like(params)
-    x_s, y_s = dataset.features[s], dataset.labels[s]
-    shuffle_rng = Rng(cfg.seed, "shuffle")
-
     df_norms = np.empty(cfg.epochs)
-    for epoch in range(cfg.epochs):
-        if cfg.minibatch_size == 0:
-            grad = _mean_grad(params, arch, x_s, y_s)
-            velocity = cfg.momentum * velocity + grad
-            params -= cfg.learning_rate * velocity
-        else:
-            order = shuffle_rng.derive(f"epoch{epoch}").permutation(s.size)
-            for lo in range(0, s.size, cfg.minibatch_size):
-                rows = order[lo:lo + cfg.minibatch_size]
-                grad = _mean_grad(params, arch, x_s[rows], y_s[rows])
-                velocity = cfg.momentum * velocity + grad
-                params -= cfg.learning_rate * velocity
-        if not np.all(np.isfinite(params)):
-            raise ArithmeticError(f"training diverged at epoch {epoch}")
-        snapshot = ModelState(params=params, arch=arch)
+
+    def monitor(epoch, params):
+        snapshot = ModelState(params=params[0], arch=arch)
         g_s = mean_grad_embedding(snapshot, dataset, s, scope=cfg.scope).values
         g_sj = mean_grad_embedding(snapshot, dataset, s_j, scope=cfg.scope).values
         df_norms[epoch] = l2_norm(g_s - g_sj)
+
+    init = init_model(arch, seed=derive_seed(cfg.seed, "init")).params
+    _, diverged = train_stack(arch, [init], [s], [cfg.seed], dataset, cfg.learning_rate,
+                              cfg.momentum, cfg.minibatch_size, cfg.epochs, on_epoch=monitor)
+    if diverged[0] >= 0:
+        raise diverged_error(diverged[0], cfg.learning_rate)
 
     t0 = estimate_t0(df_norms)
     return ContractionReport(

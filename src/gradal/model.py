@@ -135,22 +135,22 @@ def init_model(arch: ArchSpec, seed: int) -> ModelState:
     return ModelState(params=params, arch=arch, init_seed=int(seed))
 
 
-def _forward(params: np.ndarray, arch: ArchSpec, x: np.ndarray):
-    """Return (per-layer activations including the input, logits)."""
-    layers = _layers(params, arch)
+def _forward(layers, x: np.ndarray):
+    """(per-layer activations including the input, logits) for ``_layers``
+    views; with a leading stack axis, row m runs model m on x[m]."""
     acts = [np.asarray(x, dtype=float)]
     a = acts[0]
     for w, b in layers[:-1]:
-        a = np.maximum(a @ w.T + b, 0.0)
+        a = np.maximum(a @ np.swapaxes(w, -1, -2) + b[..., None, :], 0.0)
         acts.append(a)
     w, b = layers[-1]
-    return acts, a @ w.T + b
+    return acts, a @ np.swapaxes(w, -1, -2) + b[..., None, :]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -158,25 +158,25 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _output_error(params: np.ndarray, arch: ArchSpec, x: np.ndarray, y=None):
+def _output_error(layers, x: np.ndarray, y=None):
     """(activations, softmax - onehot(y)) from one forward pass; ``y`` None
     takes each row's pseudo-label: the argmax, lowest class id on ties."""
-    acts, logits = _forward(params, arch, x)
+    acts, logits = _forward(layers, x)
     err = _softmax(logits)
-    err[np.arange(x.shape[0]), np.argmax(err, axis=1) if y is None else y] -= 1.0
+    err -= np.eye(err.shape[-1])[np.argmax(err, axis=-1) if y is None else y]
     return acts, err
 
 
 def predict_proba(model: ModelState, features: np.ndarray) -> np.ndarray:
     """Softmax class probabilities, one row per input row."""
-    _, logits = _forward(model.params, model.arch, np.atleast_2d(features))
+    _, logits = _forward(_layers(model.params, model.arch), np.atleast_2d(features))
     return _softmax(logits)
 
 
 def penultimate(model: ModelState, features: np.ndarray) -> np.ndarray:
     """Post-activation output of the last hidden layer (the input itself
     when the architecture has no hidden layers)."""
-    acts, _ = _forward(model.params, model.arch, np.atleast_2d(features))
+    acts, _ = _forward(_layers(model.params, model.arch), np.atleast_2d(features))
     return acts[-1]
 
 
@@ -185,53 +185,91 @@ def loss_mean(model: ModelState, dataset: Dataset, indices) -> float:
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         raise ValueError("indices must be nonempty")
-    _, logits = _forward(model.params, model.arch, dataset.features[indices])
+    _, logits = _forward(_layers(model.params, model.arch), dataset.features[indices])
     logp = _log_softmax(logits)
     return float(-logp[np.arange(indices.size), dataset.labels[indices]].mean())
 
 
-def _mean_grad(params: np.ndarray, arch: ArchSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the mean cross-entropy over (x, y), flat layout."""
-    acts, delta = _output_error(params, arch, x, y)
-    delta /= x.shape[0]
-    grad = np.zeros_like(params)
-    g_layers = _layers(grad, arch)
-    w_layers = _layers(params, arch)
+def diverged_error(epoch: int, learning_rate: float) -> ArithmeticError:
+    """The error for parameters that stopped being finite after ``epoch``."""
+    return ArithmeticError(f"training diverged at epoch {epoch} "
+                           f"at learning rate {learning_rate:g}")
+
+
+def _stack_grad(w_layers, g_layers, x: np.ndarray, y: np.ndarray):
+    """Write into the views ``g_layers`` the gradient of the mean
+    cross-entropy over (x[m], y[m]) at stack row m's parameters ``w_layers``."""
+    acts, delta = _output_error(w_layers, x, y)
+    delta /= x.shape[-2]
     for i in range(len(w_layers) - 1, -1, -1):
         gw, gb = g_layers[i]
-        gw[:] = delta.T @ acts[i]
-        gb[:] = delta.sum(axis=0)
+        np.matmul(np.swapaxes(delta, -1, -2), acts[i], out=gw)
+        np.sum(delta, axis=-2, out=gb)
         if i > 0:
             delta = (delta @ w_layers[i][0]) * (acts[i] > 0)
-    return grad
+
+
+def _mean_grad(params: np.ndarray, arch: ArchSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the mean cross-entropy over (x, y), flat layout: the
+    one-row case of ``_stack_grad``."""
+    grad = np.empty((1, arch.n_params))
+    _stack_grad(_layers(params[None], arch), _layers(grad, arch), x[None], y[None])
+    return grad[0]
+
+
+def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
+                learning_rate: float, momentum: float, minibatch_size: int,
+                epochs: int, on_epoch=None):
+    """SGD with heavy-ball momentum for a stack of models in lockstep: row m
+    starts from params[m] and trains on the dataset rows labeled[m] (one
+    count for all rows), reshuffled each epoch from seeds[m]; the last
+    minibatch may be short, and minibatch_size 0 takes one full-batch step
+    per epoch. Minibatches are gathered from ``dataset`` by index. Rows share
+    no arithmetic, so a row gets the bits it would get alone. After each
+    epoch, ``on_epoch(epoch, params)`` sees the stack. Returns the trained
+    (M, n_params) stack and, per row, the first epoch after which its
+    params were not finite (-1: none); training stops once every row is.
+    """
+    params = np.array(params, dtype=float)
+    labeled = np.asarray(labeled, dtype=np.int64)
+    shuffles = [Rng(seed, "shuffle") for seed in seeds]
+    diverged = np.full(len(params), -1)
+    n = labeled.shape[1]
+    step = minibatch_size or n
+    velocity, grad = np.zeros_like(params), np.empty_like(params)
+    w_layers, g_layers = _layers(params, arch), _layers(grad, arch)
+    for epoch in range(epochs):
+        rows = labeled
+        if minibatch_size:
+            orders = [s.derive(f"epoch{epoch}").permutation(n) for s in shuffles]
+            rows = np.take_along_axis(labeled, np.stack(orders), axis=1)
+        for start in range(0, n, step):
+            batch = rows[:, start:start + step]
+            _stack_grad(w_layers, g_layers, dataset.features[batch], dataset.labels[batch])
+            velocity *= momentum
+            velocity += grad
+            params -= learning_rate * velocity
+        diverged[(diverged < 0) & ~np.isfinite(params).all(axis=1)] = epoch
+        if (diverged >= 0).all():
+            break
+        if on_epoch is not None:
+            on_epoch(epoch, params)
+    return params, diverged
 
 
 def train(model: ModelState, dataset: Dataset, indices, cfg: TrainConfig) -> ModelState:
-    """SGD with heavy-ball momentum and per-epoch seeded shuffling.
-
-    The incomplete final minibatch of each epoch is used, not dropped.
-    Raises if parameters stop being finite, naming the epoch and the rate.
-    """
+    """SGD with heavy-ball momentum and per-epoch seeded shuffling, the
+    one-row case of ``train_stack``. Raises if parameters stop being finite,
+    naming the epoch and the rate."""
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         raise ValueError("indices must be nonempty")
-    x_all = dataset.features[indices]
-    y_all = dataset.labels[indices]
-    params = model.params.copy()
-    velocity = np.zeros_like(params)
-    shuffle = Rng(cfg.seed, "shuffle")
-    n = indices.size
-    for epoch in range(cfg.epochs):
-        order = shuffle.derive(f"epoch{epoch}").permutation(n)
-        for start in range(0, n, cfg.minibatch_size):
-            batch = order[start:start + cfg.minibatch_size]
-            grad = _mean_grad(params, model.arch, x_all[batch], y_all[batch])
-            velocity = cfg.momentum * velocity + grad
-            params -= cfg.learning_rate * velocity
-        if not np.isfinite(params).all():
-            raise ArithmeticError(f"training diverged at epoch {epoch} "
-                                  f"at learning rate {cfg.learning_rate:g}")
-    return ModelState(params=params, arch=model.arch, init_seed=model.init_seed)
+    params, diverged = train_stack(model.arch, model.params[None], indices[None], [cfg.seed],
+                                   dataset, cfg.learning_rate, cfg.momentum,
+                                   cfg.minibatch_size, cfg.epochs)
+    if diverged[0] >= 0:
+        raise diverged_error(diverged[0], cfg.learning_rate)
+    return ModelState(params=params[0], arch=model.arch, init_seed=model.init_seed)
 
 
 def last_layer_factors(model: ModelState, features: np.ndarray, labels=None):
@@ -240,17 +278,17 @@ def last_layer_factors(model: ModelState, features: np.ndarray, labels=None):
     onehot(y_i) with h1_i = [penultimate_i, 1]. ``labels`` None takes each
     row's pseudo-label from the same softmax (argmax, lowest id on ties)."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    acts, err = _output_error(model.params, model.arch, features, labels)
+    acts, err = _output_error(_layers(model.params, model.arch), features, labels)
     return err, np.concatenate([acts[-1], np.ones((features.shape[0], 1))], axis=1)
 
 
 def _full_embeddings(model: ModelState, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(n, n_params) per-example full-parameter gradients via backprop."""
     arch = model.arch
-    acts, delta = _output_error(model.params, arch, x, y)
+    w_layers = _layers(model.params, arch)
+    acts, delta = _output_error(w_layers, x, y)
     out = np.empty((x.shape[0], arch.n_params))
     g_layers = _layers(out, arch)
-    w_layers = _layers(model.params, arch)
     for i in range(len(w_layers) - 1, -1, -1):
         gw, gb = g_layers[i]
         np.einsum("no,ni->noi", delta, acts[i], out=gw)

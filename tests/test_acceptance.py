@@ -21,7 +21,7 @@ from gradal.acquisition import (
     select_batch,
     select_kcenter,
 )
-from gradal.al_loop import ExperimentConfig, evaluate_accuracy, run_experiment
+from gradal.al_loop import ExperimentConfig, evaluate_accuracy, run_experiments
 from gradal.cli import cmd_run, cmd_timing, fingerprint_of
 from gradal.contraction import (
     ContractionConfig,
@@ -242,11 +242,11 @@ def test_a5_desk_scale_benchmark():
     assert 0.92 <= supervised_acc <= 0.98
 
     final_means = {}
-    for method in METHODS:
-        cfg = ExperimentConfig(arch=arch, train=train_cfg, method=method,
-                               b=20, rounds=10, seeds=tuple(range(10)),
-                               initial_size=20, split_spec=split_spec)
-        result = run_experiment(cfg, ds, threads=4)
+    cfgs = [ExperimentConfig(arch=arch, train=train_cfg, method=method,
+                             b=20, rounds=10, seeds=tuple(range(10)),
+                             initial_size=20, split_spec=split_spec)
+            for method in METHODS]
+    for method, result in zip(METHODS, run_experiments(cfgs, ds)):
         acc = np.array([[rec.test_accuracy for rec in seq]
                         for seq in result.per_seed])
         mean = acc.mean(axis=0)

@@ -9,6 +9,7 @@ from gradal.al_loop import (
     ExperimentResult,
     evaluate_accuracy,
     run_experiment,
+    run_experiments,
 )
 from gradal.data import Dataset, SplitSpec, init_pool, make_blobs, split
 from gradal.model import ArchSpec, ModelState, TrainConfig, init_model, predict_proba
@@ -152,16 +153,51 @@ def test_full_reproducibility_excluding_walltime():
                 assert np.array_equal(a.batch.indices, b.batch.indices)
 
 
-def test_threaded_matches_sequential():
+def test_lockstep_matches_single_runs():
+    # 3 methods x 3 seeds in one stack against nine one-method, one-seed runs
     ds = small_dataset()
-    cfg = small_config(method="entropy", rounds=2, seeds=(0, 1, 2))
-    seq = run_experiment(cfg, ds, threads=1)
-    par = run_experiment(cfg, ds, threads=3)
-    for s_rows, p_rows in zip(seq.per_seed, par.per_seed):
-        for a, b in zip(s_rows, p_rows):
-            assert a.test_accuracy == b.test_accuracy
-            if a.batch is not None:
-                assert np.array_equal(a.batch.indices, b.batch.indices)
+    methods, seeds = ("entropy", "grad", "kcenter"), (0, 1, 2)
+    results = run_experiments([small_config(method=m, rounds=2, seeds=seeds)
+                               for m in methods], ds)
+    assert [r.method for r in results] == list(methods)
+    for result in results:
+        assert result.seeds == seeds
+        for seed, rows in zip(seeds, result.per_seed):
+            alone = run_experiment(small_config(method=result.method, rounds=2,
+                                                seeds=(seed,)), ds)
+            assert len(rows) == len(alone.per_seed[0]) == 3
+            for a, b in zip(rows, alone.per_seed[0]):
+                assert (a.round, a.labeled_size) == (b.round, b.labeled_size)
+                assert a.test_accuracy == b.test_accuracy
+                if b.batch is None:
+                    assert a.batch is None
+                else:
+                    assert np.array_equal(a.batch.indices, b.batch.indices)
+                    assert np.array_equal(a.batch.scores, b.batch.scores)
+
+
+def test_round_zero_trains_one_stack_row_per_seed(monkeypatch):
+    ds = small_dataset()
+    stack_rows = []
+    real = al_loop.train_stack
+
+    def spy(arch, params, *args, **kwargs):
+        stack_rows.append(len(params))
+        return real(arch, params, *args, **kwargs)
+
+    monkeypatch.setattr(al_loop, "train_stack", spy)
+    run_experiments([small_config(method=m, rounds=2, seeds=(0, 1))
+                     for m in ("random", "grad", "entropy")], ds)
+    assert stack_rows == [2, 6, 6]
+
+
+def test_run_experiments_rejects_configs_differing_beyond_method():
+    with pytest.raises(ValueError, match="differ only in method"):
+        run_experiments([small_config(method="grad"),
+                         small_config(method="random", b=7)], small_dataset())
+    with pytest.raises(ValueError, match="distinct methods"):
+        run_experiments([small_config(method="grad"), small_config(method="grad")],
+                        small_dataset())
 
 
 def test_distinct_seeds_differ():
@@ -203,13 +239,13 @@ def test_selection_ignores_unlabeled_true_labels():
 
 def test_acquisition_time_excludes_training(monkeypatch):
     ds = small_dataset()
-    real_train = al_loop.train
+    real_train = al_loop.train_stack
 
     def slow_train(*args, **kwargs):
         time.sleep(0.05)
         return real_train(*args, **kwargs)
 
-    monkeypatch.setattr(al_loop, "train", slow_train)
+    monkeypatch.setattr(al_loop, "train_stack", slow_train)
     cfg = small_config(method="entropy", rounds=2)
     result = run_experiment(cfg, ds)
     for rec in result.per_seed[0]:
@@ -268,6 +304,24 @@ def test_sweep_lr_replaces_configured_rate():
         split_spec=SplitSpec(test_fraction=0.2, validation_fraction=0.2, seed=0))
     result = run_experiment(cfg, ds)
     assert result.learning_rate in (0.0001, 0.0005, 0.001, 0.005, 0.01)
+
+
+def test_sweep_lr_runs_once_per_run(monkeypatch):
+    ds = small_dataset(n=160)
+    calls = []
+    real = al_loop.sweep_learning_rate
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(al_loop, "sweep_learning_rate", spy)
+    split_spec = SplitSpec(test_fraction=0.2, validation_fraction=0.2, seed=0)
+    results = run_experiments([small_config(method=m, rounds=1, sweep_lr=True,
+                                            split_spec=split_spec)
+                               for m in ("random", "grad", "entropy")], ds)
+    assert len(calls) == 1
+    assert len({r.learning_rate for r in results}) == 1
 
 
 def test_sweep_lr_needs_validation_split():

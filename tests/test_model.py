@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from gradal.contraction import ContractionConfig, run_contraction_trace
 from gradal.data import Dataset, make_blobs
 from gradal.model import (
     FULL,
@@ -8,6 +11,7 @@ from gradal.model import (
     ArchSpec,
     ModelState,
     TrainConfig,
+    _mean_grad,
     grad_embedding,
     grad_embeddings,
     init_model,
@@ -17,8 +21,9 @@ from gradal.model import (
     predict_proba,
     sweep_learning_rate,
     train,
+    train_stack,
 )
-from gradal.numerics import Rng
+from gradal.numerics import Rng, derive_seed, l2_norm
 
 
 def tiny_dataset(n=40, c=3, d=4, seed=2, spread=0.8):
@@ -217,6 +222,84 @@ def test_train_uses_incomplete_final_minibatch():
     # same config but only the first 4 points available
     part = train(init_model(tiny_arch(), 0), ds, idx[:4], cfg)
     assert not np.array_equal(full.params, part.params)
+
+
+# ---------------------------------------------------------------- lockstep engine
+
+def _stack_args(cfg):
+    return cfg.learning_rate, cfg.momentum, cfg.minibatch_size, cfg.epochs
+
+
+def test_train_stack_rows_match_separate_train_calls():
+    # distinct inits, seeds and labeled sets; 13 points in batches of 4
+    # leave a one-point final minibatch every epoch
+    ds = tiny_dataset(n=60)
+    arch = tiny_arch()
+    cfg = TrainConfig(learning_rate=0.05, epochs=4, minibatch_size=4, seed=0)
+    inits = [init_model(arch, s) for s in range(4)]
+    labeled = [np.arange(s, 60, 4)[:13] for s in range(4)]
+    seeds = [11, 12, 13, 14]
+    params, diverged = train_stack(arch, [m.params for m in inits], labeled, seeds, ds,
+                                   *_stack_args(cfg))
+    assert diverged.tolist() == [-1, -1, -1, -1]
+    for m in range(4):
+        alone = train(inits[m], ds, labeled[m], replace(cfg, seed=seeds[m]))
+        assert np.array_equal(params[m], alone.params), m
+
+
+def test_train_stack_diverging_row_leaves_other_rows_unchanged():
+    # row 1 trains on points scaled by 1e150, which overflow at this rate;
+    # rows 0 and 2 train on unscaled points and stay finite
+    base = make_blobs(80, 3, 4, spread=0.8, seed=2)
+    features = base.features.copy()
+    features[60:] *= 1e150
+    ds = Dataset(features, base.labels, 3)
+    arch = tiny_arch()
+    cfg = TrainConfig(learning_rate=1e10, epochs=6, minibatch_size=4, seed=0)
+    inits = [init_model(arch, s) for s in range(3)]
+    labeled = [np.arange(0, 30, 2), np.arange(60, 75), np.arange(1, 31, 2)]
+    seeds = [5, 6, 7]
+    with np.errstate(all="ignore"):
+        params, diverged = train_stack(arch, [m.params for m in inits], labeled, seeds, ds,
+                                       *_stack_args(cfg))
+        with pytest.raises(ArithmeticError) as lone:
+            train(inits[1], ds, labeled[1], replace(cfg, seed=seeds[1]))
+    assert diverged[0] == diverged[2] == -1 and diverged[1] >= 0
+    assert f"diverged at epoch {diverged[1]} at learning rate 1e+10" in str(lone.value)
+    for m in (0, 2):
+        alone = train(inits[m], ds, labeled[m], replace(cfg, seed=seeds[m]))
+        assert np.array_equal(params[m], alone.params), m
+
+
+def test_train_stack_full_batch_reproduces_contraction_trace():
+    # reference: one full-batch momentum step per epoch, written out
+    ds = make_blobs(60, 2, 3, spread=0.7, seed=1)
+    cfg = ContractionConfig(s_size=40, subset_fraction=0.25, epochs=8, learning_rate=0.01,
+                            seed=0, scope=FULL, hidden_widths=(8,), momentum=0.5)
+    s, s_j = np.arange(40), np.arange(0, 40, 4)
+    arch = ArchSpec(input_dim=3, n_classes=2, hidden_widths=(8,))
+    init = init_model(arch, seed=derive_seed(cfg.seed, "init"))
+
+    def discrepancy(params):
+        model = ModelState(params, arch)
+        return l2_norm(mean_grad_embedding(model, ds, s, FULL).values
+                       - mean_grad_embedding(model, ds, s_j, FULL).values)
+
+    params, velocity, expected = init.params.copy(), np.zeros(arch.n_params), []
+    for _ in range(cfg.epochs):
+        velocity = cfg.momentum * velocity + _mean_grad(params, arch, ds.features[s], ds.labels[s])
+        params = params - cfg.learning_rate * velocity
+        expected.append(discrepancy(params))
+
+    seen = []
+    stacked, diverged = train_stack(arch, [init.params], [s], [cfg.seed], ds, cfg.learning_rate,
+                                    cfg.momentum, 0, cfg.epochs,
+                                    on_epoch=lambda epoch, p: seen.append(discrepancy(p[0])))
+    report = run_contraction_trace(cfg, ds, sample_indices=s, subset_indices=s_j)
+    assert diverged.tolist() == [-1]
+    assert np.array_equal(stacked[0], params)
+    assert seen == expected
+    assert report.df_norms.tolist() == expected
 
 
 # ---------------------------------------------------------------- gradients
