@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 from .acquisition import (
     METHODS,
     AcquisitionBatch,
-    ScoredCandidate,
     df_score,
     df_scores,
     pseudo_label,
@@ -32,6 +31,7 @@ from .al_loop import (
     evaluate_accuracy,
     run_experiment,
     run_experiments,
+    sweep_learning_rate,
 )
 from .contraction import (
     ContractionConfig,
@@ -55,7 +55,6 @@ from .evaluation import (
     ComparisonSlice,
     ExperimentCurves,
     PenaltyMatrix,
-    aggregate_curves,
     bh_fdr,
     build_ppm,
     curves_from_results,
@@ -64,7 +63,6 @@ from .evaluation import (
 )
 from .model import (
     ArchSpec,
-    GradEmbedding,
     ModelState,
     TrainConfig,
     grad_embedding,
@@ -74,7 +72,6 @@ from .model import (
     mean_grad_embedding,
     penultimate,
     predict_proba,
-    sweep_learning_rate,
     train,
 )
 from .numerics import Rng, derive_seed, pca_project, student_t_sf

@@ -10,7 +10,7 @@ independent of pool enumeration order.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,22 +31,12 @@ METHODS = ("grad", "entropy", "badge", "kcenter", "random")
 
 
 @dataclass
-class ScoredCandidate:
-    """One pool point with its acquisition score and pseudo-label."""
-
-    pool_index: int
-    score: float
-    pseudo_label: int
-
-
-@dataclass
 class AcquisitionBatch:
     """Indices chosen in one acquisition round."""
 
     indices: np.ndarray
     method: str
-    round: int = 0
-    scores: list = field(default=None)
+    scores: list = None
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -80,7 +70,7 @@ def df_scores_from_embeddings(reference_mean: np.ndarray, embeddings: np.ndarray
 
 
 def df_score(model: ModelState, dataset: Dataset, labeled, x_index: int,
-             scope: str = LAST_LAYER) -> ScoredCandidate:
+             scope: str = LAST_LAYER) -> float:
     """Gradient-discrepancy score of one unlabeled point against the
     labeled-set reference statistic."""
     labeled = np.asarray(labeled, dtype=np.int64)
@@ -88,14 +78,10 @@ def df_score(model: ModelState, dataset: Dataset, labeled, x_index: int,
         raise ValueError("labeled set must be nonempty")
     x = dataset.features[int(x_index)]
     y_hat = pseudo_label(model, x)
-    g_x = grad_embedding(model, x, y_hat, scope=scope).values
-    ref = mean_grad_embedding(model, dataset, labeled, scope=scope).values
+    g_x = grad_embedding(model, x, y_hat, scope=scope)
+    ref = mean_grad_embedding(model, dataset, labeled, scope=scope)
     factor = labeled.size / (labeled.size + 1.0)
-    return ScoredCandidate(
-        pool_index=int(x_index),
-        score=factor * l2_norm(ref - g_x),
-        pseudo_label=y_hat,
-    )
+    return factor * l2_norm(ref - g_x)
 
 
 def df_scores(model: ModelState, dataset: Dataset, labeled, candidate_indices,
@@ -107,7 +93,7 @@ def df_scores(model: ModelState, dataset: Dataset, labeled, candidate_indices,
     if labeled.size == 0:
         raise ValueError("labeled set must be nonempty")
     candidate_indices = np.asarray(candidate_indices, dtype=np.int64)
-    ref = mean_grad_embedding(model, dataset, labeled, scope=scope).values
+    ref = mean_grad_embedding(model, dataset, labeled, scope=scope)
     chunks = grad_embedding_chunks(model, dataset.features[candidate_indices], scope=scope)
     return np.concatenate([df_scores_from_embeddings(ref, emb, labeled.size)
                            for emb in chunks])
@@ -127,7 +113,7 @@ def select_grad(model: ModelState, dataset: Dataset, pool: PoolState, b: int,
         raise ValueError("b must be >= 1")
     scores = df_scores(model, dataset, pool.labeled, pool.unlabeled, scope=scope)
     chosen, chosen_scores = _top_b(pool.unlabeled, scores, b)
-    return AcquisitionBatch(indices=chosen, method="grad", round=pool.round,
+    return AcquisitionBatch(indices=chosen, method="grad",
                             scores=[float(s) for s in chosen_scores])
 
 
@@ -145,7 +131,7 @@ def select_entropy(model: ModelState, dataset: Dataset, pool: PoolState,
         raise ValueError("b must be >= 1")
     scores = entropy_scores(predict_proba(model, dataset.features[pool.unlabeled]))
     chosen, chosen_scores = _top_b(pool.unlabeled, scores, b)
-    return AcquisitionBatch(indices=chosen, method="entropy", round=pool.round,
+    return AcquisitionBatch(indices=chosen, method="entropy",
                             scores=[float(s) for s in chosen_scores])
 
 
@@ -199,8 +185,7 @@ def select_badge(model: ModelState, dataset: Dataset, pool: PoolState, b: int,
         raise ValueError("b must be >= 1")
     factors = last_layer_factors(model, dataset.features[pool.unlabeled])
     rows = kmeans_pp_indices(factors, b, rng)
-    return AcquisitionBatch(indices=pool.unlabeled[rows], method="badge",
-                            round=pool.round, scores=None)
+    return AcquisitionBatch(indices=pool.unlabeled[rows], method="badge", scores=None)
 
 
 def _min_dist_to(points: np.ndarray, centers: np.ndarray, chunk: int = 256) -> np.ndarray:
@@ -233,8 +218,7 @@ def select_kcenter(model: ModelState, dataset: Dataset, pool: PoolState,
         d = np.sqrt(np.maximum(((feats - feats[pick]) ** 2).sum(axis=1), 0.0))
         np.minimum(min_dist, d, out=min_dist)
         min_dist[pick] = -1.0  # never re-pick
-    return AcquisitionBatch(indices=pool.unlabeled[chosen], method="kcenter",
-                            round=pool.round, scores=chosen_scores)
+    return AcquisitionBatch(indices=pool.unlabeled[chosen], method="kcenter", scores=chosen_scores)
 
 
 def select_random(pool: PoolState, b: int, rng: Rng) -> AcquisitionBatch:
@@ -243,8 +227,7 @@ def select_random(pool: PoolState, b: int, rng: Rng) -> AcquisitionBatch:
         raise ValueError("b must be >= 1")
     take = min(int(b), pool.unlabeled.size)
     rows = rng.choice(pool.unlabeled.size, size=take, replace=False)
-    return AcquisitionBatch(indices=pool.unlabeled[rows], method="random",
-                            round=pool.round, scores=None)
+    return AcquisitionBatch(indices=pool.unlabeled[rows], method="random", scores=None)
 
 
 def select_batch(method: str, model: ModelState, dataset: Dataset, pool: PoolState,

@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .acquisition import METHODS, AcquisitionBatch, timed_select
-from .data import Dataset, PoolState, SplitSpec, init_pool, split
+from .data import Dataset, SplitSpec, init_pool, split
 from .model import (
     LAST_LAYER,
     SCOPES,
@@ -22,10 +22,13 @@ from .model import (
     diverged_error,
     init_model,
     predict_proba,
-    sweep_learning_rate,
+    train,
     train_stack,
 )
 from .numerics import Rng, derive_seed
+
+# candidate learning rates of the sweep, ascending: ties go to the smaller
+SWEEP_RATES = (0.0001, 0.0005, 0.001, 0.005, 0.01)
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,6 @@ class ExperimentResult:
     reported in seed_errors, keeping the per-seed round grid rectangular.
     """
 
-    config_fingerprint: str
     method: str
     seeds: tuple
     per_seed: list
@@ -105,7 +107,25 @@ def evaluate_accuracy(model, dataset: Dataset, test) -> float:
     return float(np.mean(pred == dataset.labels[test]))
 
 
-def run_experiments(cfgs, dataset: Dataset, fingerprint: str = "") -> list:
+def sweep_learning_rate(arch: ArchSpec, dataset: Dataset, train_indices, val_indices,
+                        base_cfg: TrainConfig, seed: int) -> float:
+    """One-time learning-rate sweep: train on ``train_indices`` at each of
+    ``SWEEP_RATES``, keep the rate with the highest validation accuracy.
+    Ties go to the smaller rate (the first one tried)."""
+    val_indices = np.asarray(val_indices, dtype=np.int64)
+    if val_indices.size == 0:
+        raise ValueError("learning-rate sweep needs a nonempty validation split")
+    best_rate, best_acc = None, -1.0
+    for rate in SWEEP_RATES:
+        cfg = replace(base_cfg, learning_rate=rate, seed=seed)
+        fitted = train(init_model(arch, seed), dataset, train_indices, cfg)
+        acc = evaluate_accuracy(fitted, dataset, val_indices)
+        if acc > best_acc:
+            best_rate, best_acc = rate, acc
+    return best_rate
+
+
+def run_experiments(cfgs, dataset: Dataset) -> list:
     """One ExperimentResult per config, in order; the configs may differ only
     in ``method``. Round-major: at round t every live (method, seed) has
     init_size + t*b labeled points and an init and shuffle keyed by (seed,
@@ -172,14 +192,12 @@ def run_experiments(cfgs, dataset: Dataset, fingerprint: str = "") -> list:
         if not kept:
             raise ArithmeticError(f"all seeds failed: {failed}")
         results.append(ExperimentResult(
-            config_fingerprint=fingerprint, method=c.method, seeds=kept,
-            per_seed=[records[(c.method, s)] for s in kept],
+            method=c.method, seeds=kept, per_seed=[records[(c.method, s)] for s in kept],
             learning_rate=float(learning_rate), truncated=truncated, seed_errors=failed))
     return results
 
 
-def run_experiment(cfg: ExperimentConfig, dataset: Dataset,
-                   fingerprint: str = "") -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
     """Run every seed of one method's schedule: ``run_experiments`` with a
     single config."""
-    return run_experiments([cfg], dataset, fingerprint)[0]
+    return run_experiments([cfg], dataset)[0]

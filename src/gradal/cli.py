@@ -93,7 +93,7 @@ def load_config(path) -> dict:
     return config
 
 
-def _get(cfg: dict, name: str, kind, default=None, required=False, where=""):
+def _get(cfg: dict, name: str, kind, default=None, required=False, where="", minimum=None):
     label = f"{where}{name}"
     if name not in cfg:
         if required:
@@ -106,6 +106,8 @@ def _get(cfg: dict, name: str, kind, default=None, required=False, where=""):
         raise ConfigError(f"{label}: expected {getattr(kind, '__name__', kind)}")
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"{label}: expected a finite number, got {value}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{label}: must be >= {minimum}")
     return value
 
 
@@ -304,14 +306,16 @@ def cmd_run(config: dict, out_flag=None) -> int:
     methods = _methods_from(config)
     scope = _scope_from(config)
     seeds = _seeds_from(config)
-    b = _get(config, "batch_size", int, required=True)
+    b = _get(config, "batch_size", int, required=True, minimum=1)
     rounds = _get(config, "rounds", int, required=True)
     initial_size = _get(config, "initial_size", int)
     sweep_lr = _get(config, "sweep_lr", bool, False)
     standardize = _get(config, "standardize", bool, False)
 
+    train_idx, val_idx, _ = split(dataset, split_spec)
+    if sweep_lr and not val_idx.size:
+        raise ConfigError("sweep_lr: needs a validation split (split.validation_fraction)")
     if standardize:
-        train_idx, _, _ = split(dataset, split_spec)
         dataset = _standardized(dataset, train_idx)
 
     try:
@@ -321,7 +325,11 @@ def cmd_run(config: dict, out_flag=None) -> int:
             split_spec=split_spec, sweep_lr=sweep_lr) for method in methods]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    per_method = dict(zip(methods, run_experiments(cfgs, dataset, fingerprint_of(config))))
+    if cfgs[0].init_size + min(1, rounds) > train_idx.size:
+        name = "batch_size" if initial_size is None else "initial_size"
+        raise ConfigError(f"{name}: {cfgs[0].init_size} initial points leave no pool "
+                          f"in a training split of {train_idx.size}")
+    per_method = dict(zip(methods, run_experiments(cfgs, dataset)))
 
     results = {
         "manifest": {"dataset_name": dataset.name, "arch_name": _arch_name(arch)},
@@ -461,6 +469,8 @@ def cmd_geometry(config: dict, out_flag=None) -> int:
     scope = _scope_from(config)
     seed = _get(config, "seed", int, 0)
     initial_size = _get(config, "initial_size", int, 10)
+    if not 1 <= initial_size < dataset.n_samples:
+        raise ConfigError(f"initial_size: must be in [1, {dataset.n_samples - 1}]")
     batch_sizes = _get(config, "batch_sizes", list, [10, 20, 40])
     if not batch_sizes or not all(isinstance(v, int) and v > 0 for v in batch_sizes):
         raise ConfigError("batch_sizes: expected positive integers")
@@ -626,10 +636,10 @@ def cmd_contraction(config: dict, out_flag=None) -> int:
 
 def cmd_timing(config: dict, out_flag=None) -> int:
     started = _timestamp()
-    pool_size = _get(config, "pool_size", int, 25000)
-    batch_size = _get(config, "batch_size", int, 500)
-    rounds = _get(config, "rounds", int, 5)
-    initial_size = _get(config, "initial_size", int, batch_size)
+    pool_size = _get(config, "pool_size", int, 25000, minimum=1)
+    batch_size = _get(config, "batch_size", int, 500, minimum=1)
+    rounds = _get(config, "rounds", int, 5, minimum=1)
+    initial_size = _get(config, "initial_size", int, batch_size, minimum=1)
     seed = _get(config, "seed", int, 0)
     methods = _methods_from(config)
     scope = _scope_from(config)

@@ -72,8 +72,9 @@ class ContractionReport:
     rho_hat: Optional[float]
 
 
-def estimate_t0(df_norms, tol: float = MONOTONE_TOL) -> Optional[int]:
-    """Smallest t such that df[u+1] <= df[u]*(1+tol) holds for every u >= t.
+def estimate_t0(df_norms) -> Optional[int]:
+    """Smallest t such that df[u+1] <= df[u]*(1+MONOTONE_TOL) holds for every
+    u >= t.
 
     Only t <= len-2 qualifies (the condition must cover at least one step),
     so a trace whose final step increases reports no t0.
@@ -82,7 +83,7 @@ def estimate_t0(df_norms, tol: float = MONOTONE_TOL) -> Optional[int]:
     n = df.size
     start = n - 1
     u = n - 2
-    while u >= 0 and df[u + 1] <= df[u] * (1.0 + tol):
+    while u >= 0 and df[u + 1] <= df[u] * (1.0 + MONOTONE_TOL):
         start = u
         u -= 1
     return start if start <= n - 2 else None
@@ -132,8 +133,8 @@ def run_contraction_trace(cfg: ContractionConfig, dataset: Dataset,
 
     def monitor(epoch, params):
         snapshot = ModelState(params=params[0], arch=arch)
-        g_s = mean_grad_embedding(snapshot, dataset, s, scope=cfg.scope).values
-        g_sj = mean_grad_embedding(snapshot, dataset, s_j, scope=cfg.scope).values
+        g_s = mean_grad_embedding(snapshot, dataset, s, scope=cfg.scope)
+        g_sj = mean_grad_embedding(snapshot, dataset, s_j, scope=cfg.scope)
         df_norms[epoch] = l2_norm(g_s - g_sj)
 
     init = init_model(arch, seed=derive_seed(cfg.seed, "init")).params

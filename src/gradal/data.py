@@ -71,7 +71,6 @@ class PoolState:
 
     labeled: np.ndarray
     unlabeled: np.ndarray
-    round: int = 0
 
     def __post_init__(self):
         self.labeled = np.asarray(self.labeled, dtype=np.int64)
@@ -88,7 +87,7 @@ class PoolState:
             raise ValueError("acquired indices contain duplicates")
         labeled = np.sort(np.concatenate([self.labeled, indices]))
         unlabeled = np.setdiff1d(self.unlabeled, indices)
-        return PoolState(labeled, unlabeled, self.round + 1)
+        return PoolState(labeled, unlabeled)
 
 
 @dataclass
@@ -107,9 +106,6 @@ class Standardizer:
 
     def transform(self, features: np.ndarray) -> np.ndarray:
         return (np.asarray(features, dtype=float) - self.mean) / self.std
-
-    def inverse_transform(self, features: np.ndarray) -> np.ndarray:
-        return np.asarray(features, dtype=float) * self.std + self.mean
 
 
 def _encode_labels(raw: list) -> tuple:
@@ -261,4 +257,4 @@ def init_pool(train: np.ndarray, initial_size: int, seed: int) -> PoolState:
     pick = rng.choice(train.size, size=initial_size, replace=False)
     labeled = np.sort(train[pick])
     unlabeled = np.setdiff1d(train, labeled)
-    return PoolState(labeled=labeled, unlabeled=unlabeled, round=0)
+    return PoolState(labeled=labeled, unlabeled=unlabeled)

@@ -120,12 +120,14 @@ class ExperimentCurves:
 def curves_from_results(results_by_method: dict, dataset: str = "",
                         arch: str = "") -> ExperimentCurves:
     """Assemble ExperimentCurves from per-method experiment results or
-    (seeds x rounds) accuracy arrays; see ``accuracy_matrix``."""
+    (seeds x rounds) accuracy arrays."""
     acc = {}
     for name, result in results_by_method.items():
-        if len({len(seq) for seq in getattr(result, "per_seed", result)}) > 1:
+        if hasattr(result, "per_seed"):
+            result = [[rec.test_accuracy for rec in seq] for seq in result.per_seed]
+        if len({len(seq) for seq in result}) > 1:
             raise ValueError(f"{name!r} has uneven round counts across seeds")
-        acc[name] = accuracy_matrix(result)
+        acc[name] = np.asarray(result, dtype=float)
     return ExperimentCurves(accuracies=acc, dataset=dataset, arch=arch)
 
 
@@ -229,25 +231,3 @@ def loss_scores(ppm: PenaltyMatrix) -> dict:
     k = len(ppm.methods)
     means = ppm.P.sum(axis=0) / k
     return {m: float(means[j]) for j, m in enumerate(ppm.methods)}
-
-
-def accuracy_matrix(result) -> np.ndarray:
-    """(n_seeds, n_points) accuracy array from an experiment result or any
-    2-D array-like."""
-    if hasattr(result, "per_seed"):
-        return np.array([[rec.test_accuracy for rec in seq]
-                         for seq in result.per_seed], dtype=float)
-    return np.asarray(result, dtype=float)
-
-
-def aggregate_curves(result):
-    """Per-round (mean, sd) across seeds; sample sd, zero for one seed."""
-    acc = accuracy_matrix(result)
-    if acc.ndim != 2 or acc.shape[0] < 1:
-        raise ValueError("need a (seeds x rounds) accuracy grid")
-    mean = acc.mean(axis=0)
-    if acc.shape[0] == 1:
-        sd = np.zeros(acc.shape[1])
-    else:
-        sd = acc.std(axis=0, ddof=1)
-    return mean, sd

@@ -8,7 +8,7 @@ the trailing slice of the full-parameter gradient.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,8 +19,6 @@ LAST_LAYER = "last_layer"
 FULL = "full"
 SCOPES = (LAST_LAYER, FULL)
 
-SWEEP_RATES = (0.0001, 0.0005, 0.001, 0.005, 0.01)
-
 
 @dataclass(frozen=True)
 class ArchSpec:
@@ -29,7 +27,6 @@ class ArchSpec:
     input_dim: int
     n_classes: int
     hidden_widths: tuple = (512, 256)
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
@@ -37,8 +34,6 @@ class ArchSpec:
             raise ValueError("need input_dim >= 1 and n_classes >= 2")
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError("hidden widths must be >= 1")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
     def layer_sizes(self) -> tuple:
@@ -67,7 +62,6 @@ class ModelState:
 
     params: np.ndarray
     arch: ArchSpec
-    init_seed: int = 0
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
@@ -92,19 +86,6 @@ class TrainConfig:
             raise ValueError("epochs and minibatch_size must be >= 1")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
-
-
-@dataclass
-class GradEmbedding:
-    """Flat per-example (or mean) gradient vector at a given scope."""
-
-    values: np.ndarray
-    scope: str = LAST_LAYER
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.scope not in SCOPES:
-            raise ValueError(f"unknown scope {self.scope!r}")
 
 
 def _layers(params: np.ndarray, arch: ArchSpec):
@@ -132,7 +113,7 @@ def init_model(arch: ArchSpec, seed: int) -> ModelState:
     for i, (w, _b) in enumerate(_layers(params, arch)):
         bound = math.sqrt(1.0 / w.shape[1])
         w[:] = rng.derive(f"layer{i}").uniform(-bound, bound, w.shape)
-    return ModelState(params=params, arch=arch, init_seed=int(seed))
+    return ModelState(params=params, arch=arch)
 
 
 def _forward(layers, x: np.ndarray):
@@ -269,7 +250,7 @@ def train(model: ModelState, dataset: Dataset, indices, cfg: TrainConfig) -> Mod
                                    cfg.minibatch_size, cfg.epochs)
     if diverged[0] >= 0:
         raise diverged_error(diverged[0], cfg.learning_rate)
-    return ModelState(params=params[0], arch=model.arch, init_seed=model.init_seed)
+    return ModelState(params=params[0], arch=model.arch)
 
 
 def last_layer_factors(model: ModelState, features: np.ndarray, labels=None):
@@ -329,16 +310,16 @@ def grad_embeddings(model: ModelState, features: np.ndarray, labels: np.ndarray,
         model, features, np.asarray(labels, dtype=np.int64), scope, chunk)), axis=0)
 
 
-def grad_embedding(model: ModelState, x: np.ndarray, y: int, scope: str = LAST_LAYER) -> GradEmbedding:
+def grad_embedding(model: ModelState, x: np.ndarray, y: int,
+                   scope: str = LAST_LAYER) -> np.ndarray:
     """Gradient embedding of a single (x, y) example."""
     if not 0 <= int(y) < model.arch.n_classes:
         raise ValueError(f"label {y} out of range")
-    values = grad_embeddings(model, np.atleast_2d(x), np.array([int(y)]), scope=scope)[0]
-    return GradEmbedding(values=values, scope=scope)
+    return grad_embeddings(model, np.atleast_2d(x), np.array([int(y)]), scope=scope)[0]
 
 
 def mean_grad_embedding(model: ModelState, dataset: Dataset, indices,
-                        scope: str = LAST_LAYER) -> GradEmbedding:
+                        scope: str = LAST_LAYER) -> np.ndarray:
     """Arithmetic mean of per-example embeddings over an index set; equals
     the gradient of ``loss_mean`` restricted to the scope."""
     indices = np.asarray(indices, dtype=np.int64)
@@ -349,29 +330,8 @@ def mean_grad_embedding(model: ModelState, dataset: Dataset, indices,
     if scope == LAST_LAYER:
         err, h1 = last_layer_factors(model, x, y)
         w_block = (err.T @ h1[:, :-1]) / indices.size
-        values = np.concatenate([w_block.ravel(), err.mean(axis=0)])
-        return GradEmbedding(values=values, scope=scope)
+        return np.concatenate([w_block.ravel(), err.mean(axis=0)])
     if scope == FULL:
-        return GradEmbedding(values=_mean_grad(model.params, model.arch, x, y), scope=scope)
+        return _mean_grad(model.params, model.arch, x, y)
     raise ValueError(f"unknown scope {scope!r}")
 
-
-def sweep_learning_rate(arch: ArchSpec, dataset: Dataset, train_indices, val_indices,
-                        base_cfg: TrainConfig, seed: int,
-                        rates: tuple = SWEEP_RATES) -> float:
-    """One-time learning-rate sweep: train on ``train_indices`` at each
-    candidate rate, keep the rate with the highest validation accuracy.
-    Ties go to the smaller rate (rates are tried in ascending order)."""
-    from .al_loop import evaluate_accuracy  # local import to avoid a cycle
-
-    val_indices = np.asarray(val_indices, dtype=np.int64)
-    if val_indices.size == 0:
-        raise ValueError("learning-rate sweep needs a nonempty validation split")
-    best_rate, best_acc = None, -1.0
-    for rate in sorted(rates):
-        cfg = replace(base_cfg, learning_rate=float(rate), seed=seed)
-        fitted = train(init_model(arch, seed), dataset, train_indices, cfg)
-        acc = evaluate_accuracy(fitted, dataset, val_indices)
-        if acc > best_acc:
-            best_rate, best_acc = float(rate), acc
-    return best_rate

@@ -64,7 +64,7 @@ def test_a1_df_efficiency_identity():
         labeled = np.arange(n_ref)
         x_index = n - 1
 
-        fast = df_score(model, ds, labeled, x_index).score
+        fast = df_score(model, ds, labeled, x_index)
 
         # naive route: materialize R u {x} with the pseudo-label inserted
         y_hat = pseudo_label(model, ds.features[x_index])
@@ -72,8 +72,8 @@ def test_a1_df_efficiency_identity():
             np.vstack([feats[labeled], feats[x_index]]),
             np.concatenate([labels[labeled], [y_hat]]),
             c)
-        g_union = mean_grad_embedding(model, aug, np.arange(n_ref + 1)).values
-        g_x = grad_embedding(model, ds.features[x_index], y_hat).values
+        g_union = mean_grad_embedding(model, aug, np.arange(n_ref + 1))
+        g_x = grad_embedding(model, ds.features[x_index], y_hat)
         naive = float(np.linalg.norm(g_union - g_x))
 
         assert abs(fast - naive) <= 1e-10 * max(1.0, naive), trial
@@ -110,12 +110,12 @@ def test_a2_gradient_finite_difference_agreement():
             return loss_mean(ModelState(p, arch), ds, [0])
 
         fd_full = _fd_gradient(loss_at, model.params.copy())
-        full = grad_embedding(model, x, y, scope="full").values
+        full = grad_embedding(model, x, y, scope="full")
         denom = max(np.linalg.norm(fd_full), 1e-12)
         assert np.linalg.norm(full - fd_full) / denom <= 1e-4, trial
 
         n_last = arch.embedding_dim("last_layer")
-        last = grad_embedding(model, x, y, scope="last_layer").values
+        last = grad_embedding(model, x, y, scope="last_layer")
         fd_last = fd_full[-n_last:]
         denom = max(np.linalg.norm(fd_last), 1e-12)
         assert np.linalg.norm(last - fd_last) / denom <= 1e-4, trial

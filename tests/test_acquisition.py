@@ -87,15 +87,15 @@ def naive_df_score(model, dataset, labeled, x_index):
     aug_labels = np.concatenate([dataset.labels[labeled], [y_hat]])
     aug = Dataset(aug_features, aug_labels, dataset.n_classes,
                   name="augmented")
-    g_union = mean_grad_embedding(model, aug, np.arange(len(aug_labels))).values
-    g_x = grad_embedding(model, x, y_hat).values
+    g_union = mean_grad_embedding(model, aug, np.arange(len(aug_labels)))
+    g_x = grad_embedding(model, x, y_hat)
     return float(np.linalg.norm(g_union - g_x))
 
 
 def test_df_score_matches_two_gradient_oracle():
     ds, model, pool = fitted_fixture()
     for x_index in pool.unlabeled[:15]:
-        fast = df_score(model, ds, pool.labeled, x_index).score
+        fast = df_score(model, ds, pool.labeled, x_index)
         slow = naive_df_score(model, ds, pool.labeled, x_index)
         assert abs(fast - slow) <= 1e-10 * max(1.0, slow)
 
@@ -104,10 +104,10 @@ def test_df_score_single_reference_halves_distance():
     ds, model, _ = fitted_fixture()
     labeled = np.array([0])
     x_index = 20
-    score = df_score(model, ds, labeled, x_index).score
-    g_r = grad_embedding(model, ds.features[0], int(ds.labels[0])).values
+    score = df_score(model, ds, labeled, x_index)
+    g_r = grad_embedding(model, ds.features[0], int(ds.labels[0]))
     y_hat = pseudo_label(model, ds.features[x_index])
-    g_x = grad_embedding(model, ds.features[x_index], y_hat).values
+    g_x = grad_embedding(model, ds.features[x_index], y_hat)
     assert score == pytest.approx(0.5 * np.linalg.norm(g_r - g_x), rel=1e-12)
 
 
@@ -124,7 +124,7 @@ def test_df_scores_vectorized_agrees_with_scalar():
     batch = df_scores(model, ds, pool.labeled, pool.unlabeled[:10])
     for k, x_index in enumerate(pool.unlabeled[:10]):
         assert batch[k] == pytest.approx(
-            df_score(model, ds, pool.labeled, x_index).score, rel=1e-12)
+            df_score(model, ds, pool.labeled, x_index), rel=1e-12)
 
 
 def test_df_scores_scale_monotone_in_reference_size():
@@ -391,7 +391,7 @@ def test_streamed_df_scores_equal_dense_scores_bitwise(scope):
     model = train(init_model(arch, 0), ds, np.arange(30),
                   TrainConfig(learning_rate=0.01, epochs=3, seed=0))
     labeled, candidates = np.arange(30), np.arange(30, 700)
-    ref = mean_grad_embedding(model, ds, labeled, scope=scope).values
+    ref = mean_grad_embedding(model, ds, labeled, scope=scope)
     x = ds.features[candidates]
     dense = df_scores_from_embeddings(
         ref, grad_embeddings(model, x, pseudo_labels(model, x), scope=scope), labeled.size)

@@ -330,9 +330,7 @@ def test_sweep_lr_needs_validation_split():
         run_experiment(cfg, small_dataset())
 
 
-def test_result_carries_fingerprint_and_method():
-    result = run_experiment(small_config(rounds=1), small_dataset(),
-                            fingerprint="abc123def456")
-    assert result.config_fingerprint == "abc123def456"
+def test_result_carries_method_and_seeds():
+    result = run_experiment(small_config(rounds=1), small_dataset())
     assert result.method == "random"
     assert result.seeds == (0,)

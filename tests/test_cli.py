@@ -208,6 +208,28 @@ def test_non_finite_config_number_exits_2_naming_field(tmp_path, capsys, verb, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb, field, value", [
+    ("timing", "rounds", 0),
+    ("timing", "batch_size", 0),
+    ("geometry", "initial_size", 0),
+    ("geometry", "initial_size", 5000),
+    ("run", "batch_size", 0),
+    ("run", "initial_size", 500),
+    ("run", "sweep_lr", True),  # with no validation split
+])
+def test_out_of_range_config_count_exits_2_naming_field(tmp_path, capsys, verb, field,
+                                                        value):
+    config = {"run": run_config, "geometry": geometry_config,
+              "timing": timing_config}[verb]()
+    config[field] = value
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    code = main([verb, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_1_and_writes_nothing(tmp_path, capsys):
     config = run_config()
     config["train"]["learning_rate"] = 1e300  # every seed diverges

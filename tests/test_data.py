@@ -151,7 +151,6 @@ def test_init_pool_sizes_and_round():
     pool = init_pool(train, 10, seed=0)
     assert pool.labeled.size == 10
     assert pool.unlabeled.size == 2990
-    assert pool.round == 0
 
 
 def test_init_pool_entire_train():
@@ -174,7 +173,6 @@ def test_pool_acquire_moves_indices():
     pool = init_pool(np.arange(30), 5, seed=2)
     take = pool.unlabeled[:3]
     nxt = pool.acquire(take)
-    assert nxt.round == 1
     assert nxt.labeled.size == 8
     assert np.intersect1d(nxt.labeled, nxt.unlabeled).size == 0
     union = np.union1d(nxt.labeled, nxt.unlabeled)
@@ -208,13 +206,6 @@ def test_standardizer_normalizes_training_features():
     out = scaler.transform(feats)
     assert np.all(np.abs(out.mean(axis=0)) <= 1e-9)
     assert np.all(np.abs(out.std(axis=0) - 1.0) <= 1e-6)
-
-
-def test_standardizer_round_trip():
-    feats = blob_fixture().features
-    scaler = Standardizer.fit(feats)
-    back = scaler.inverse_transform(scaler.transform(feats))
-    assert np.allclose(back, feats, atol=1e-9)
 
 
 def test_standardizer_floors_constant_features():

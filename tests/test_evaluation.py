@@ -8,7 +8,6 @@ from gradal.evaluation import (
     ComparisonSlice,
     ExperimentCurves,
     PenaltyMatrix,
-    aggregate_curves,
     bh_adjusted,
     bh_fdr,
     build_ppm,
@@ -174,7 +173,7 @@ def test_curves_from_results_accepts_results_or_arrays():
             "random": [[0.5, 0.6, 0.7], [0.4, 0.5, 0.6]]}
     results = {
         m: ExperimentResult(
-            config_fingerprint="", method=m, seeds=(0, 1), learning_rate=0.01,
+            method=m, seeds=(0, 1), learning_rate=0.01,
             per_seed=[[RoundRecord(round=t, labeled_size=10 + t, test_accuracy=a,
                                    acquisition_seconds=0.0)
                        for t, a in enumerate(row)] for row in rows])
@@ -327,25 +326,3 @@ def test_loss_scores_rank_matches_column_sums():
     by_sum = sorted(ppm.methods, key=lambda m: P[:, ppm.methods.index(m)].sum())
     assert by_score == by_sum
 
-
-# ------------------------------------------------------------ aggregation
-
-def test_aggregate_two_seed_example():
-    mean, sd = aggregate_curves(np.array([[0.8], [0.9]]))
-    assert mean[0] == pytest.approx(0.85)
-    assert sd[0] == pytest.approx(0.0707, abs=5e-4)
-
-
-def test_aggregate_single_seed_sd_zero():
-    mean, sd = aggregate_curves(np.array([[0.5, 0.7, 0.9]]))
-    assert np.array_equal(mean, [0.5, 0.7, 0.9])
-    assert np.array_equal(sd, np.zeros(3))
-
-
-def test_aggregate_fixture_recomputation():
-    acc = np.array([[0.50, 0.60, 0.70],
-                    [0.55, 0.65, 0.80],
-                    [0.45, 0.70, 0.75]])
-    mean, sd = aggregate_curves(acc)
-    assert np.allclose(mean, [0.50, 0.65, 0.75], atol=1e-12)
-    assert np.allclose(sd, [0.05, 0.05, 0.05], atol=1e-12)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gradal.al_loop import sweep_learning_rate
 from gradal.contraction import ContractionConfig, run_contraction_trace
 from gradal.data import Dataset, make_blobs
 from gradal.model import (
@@ -19,7 +20,6 @@ from gradal.model import (
     mean_grad_embedding,
     penultimate,
     predict_proba,
-    sweep_learning_rate,
     train,
     train_stack,
 )
@@ -282,8 +282,8 @@ def test_train_stack_full_batch_reproduces_contraction_trace():
 
     def discrepancy(params):
         model = ModelState(params, arch)
-        return l2_norm(mean_grad_embedding(model, ds, s, FULL).values
-                       - mean_grad_embedding(model, ds, s_j, FULL).values)
+        return l2_norm(mean_grad_embedding(model, ds, s, FULL)
+                       - mean_grad_embedding(model, ds, s_j, FULL))
 
     params, velocity, expected = init.params.copy(), np.zeros(arch.n_params), []
     for _ in range(cfg.epochs):
@@ -309,7 +309,7 @@ def test_last_layer_embedding_closed_form_shape():
     m = init_model(arch, 0)
     ds = tiny_dataset()
     emb = grad_embedding(m, ds.features[0], int(ds.labels[0]), scope=LAST_LAYER)
-    assert emb.values.shape == ((arch.penultimate_width + 1) * arch.n_classes,)
+    assert emb.shape == ((arch.penultimate_width + 1) * arch.n_classes,)
 
 
 def test_last_layer_embedding_zero_at_fitted_point():
@@ -318,7 +318,7 @@ def test_last_layer_embedding_zero_at_fitted_point():
     params = np.array([1.0, 0.0, 100.0, -100.0, 0.0, 0.0])
     m = ModelState(params, arch)
     emb = grad_embedding(m, np.array([5.0]), 0, scope=LAST_LAYER)
-    assert np.all(np.abs(emb.values) < 1e-10)
+    assert np.all(np.abs(emb) < 1e-10)
 
 
 def test_last_layer_embedding_matches_finite_differences():
@@ -333,7 +333,7 @@ def test_last_layer_embedding_matches_finite_differences():
         y = int(rng.integers(0, c))
         ds = Dataset(np.tile(x, (c, 1)), np.full(c, y), c)
 
-        analytic = grad_embedding(m, x, y, scope=LAST_LAYER).values
+        analytic = grad_embedding(m, x, y, scope=LAST_LAYER)
         n_last = (arch.penultimate_width + 1) * c
 
         def loss_at(p):
@@ -353,7 +353,7 @@ def test_full_embedding_matches_finite_differences():
         x = rng.normal(size=3)
         y = int(rng.integers(0, 3))
         ds = Dataset(np.tile(x, (3, 1)), np.full(3, y), 3)
-        analytic = grad_embedding(m, x, y, scope=FULL).values
+        analytic = grad_embedding(m, x, y, scope=FULL)
 
         def loss_at(p):
             return loss_mean(ModelState(p, arch), ds, [0])
@@ -390,8 +390,8 @@ def test_grad_embedding_label_out_of_range():
 def test_mean_grad_embedding_singleton():
     ds = tiny_dataset()
     m = init_model(tiny_arch(), 1)
-    single = grad_embedding(m, ds.features[3], int(ds.labels[3])).values
-    mean = mean_grad_embedding(m, ds, [3]).values
+    single = grad_embedding(m, ds.features[3], int(ds.labels[3]))
+    mean = mean_grad_embedding(m, ds, [3])
     assert np.allclose(single, mean, atol=1e-12)
 
 
@@ -401,9 +401,9 @@ def test_mean_grad_embedding_additivity():
     s = np.arange(0, 12)
     t = np.arange(12, 24)
     for scope in (LAST_LAYER, FULL):
-        gs = mean_grad_embedding(m, ds, s, scope=scope).values
-        gt = mean_grad_embedding(m, ds, t, scope=scope).values
-        gu = mean_grad_embedding(m, ds, np.arange(24), scope=scope).values
+        gs = mean_grad_embedding(m, ds, s, scope=scope)
+        gt = mean_grad_embedding(m, ds, t, scope=scope)
+        gu = mean_grad_embedding(m, ds, np.arange(24), scope=scope)
         assert np.allclose(gu, 0.5 * gs + 0.5 * gt, atol=1e-12)
 
 
@@ -412,7 +412,7 @@ def test_mean_grad_embedding_is_gradient_of_loss_mean():
     arch = ArchSpec(input_dim=4, n_classes=3, hidden_widths=(5,))
     m = init_model(arch, 2)
     idx = np.arange(10)
-    mean_emb = mean_grad_embedding(m, ds, idx, scope=FULL).values
+    mean_emb = mean_grad_embedding(m, ds, idx, scope=FULL)
 
     def f(p):
         return loss_mean(ModelState(p, arch), ds, idx)
@@ -427,7 +427,7 @@ def test_mean_matches_average_of_per_example_embeddings():
     m = init_model(tiny_arch(), 6)
     idx = np.arange(16)
     for scope in (LAST_LAYER, FULL):
-        batched = mean_grad_embedding(m, ds, idx, scope=scope).values
+        batched = mean_grad_embedding(m, ds, idx, scope=scope)
         explicit = grad_embeddings(m, ds.features[idx], ds.labels[idx], scope=scope).mean(axis=0)
         assert np.linalg.norm(batched - explicit) <= 1e-10 * max(1.0, np.linalg.norm(explicit))
 
@@ -436,7 +436,6 @@ def test_mean_matches_average_of_per_example_embeddings():
 
 def test_sweep_prefers_smaller_rate_on_tie(monkeypatch):
     import gradal.al_loop as al_loop
-    import gradal.model as model_mod
 
     calls = []
 
@@ -446,7 +445,7 @@ def test_sweep_prefers_smaller_rate_on_tie(monkeypatch):
 
     monkeypatch.setattr(al_loop, "evaluate_accuracy", fake_accuracy)
     ds = tiny_dataset()
-    rate = model_mod.sweep_learning_rate(
+    rate = al_loop.sweep_learning_rate(
         tiny_arch(), ds, np.arange(20), np.arange(20, 30),
         TrainConfig(learning_rate=0.01, epochs=1, seed=0), seed=0)
     assert rate == 0.0001  # smallest candidate wins ties
@@ -455,7 +454,7 @@ def test_sweep_prefers_smaller_rate_on_tie(monkeypatch):
 
 def test_sweep_picks_argmax_rate():
     from gradal.al_loop import evaluate_accuracy
-    from gradal.model import SWEEP_RATES
+    from gradal.al_loop import SWEEP_RATES
 
     ds = make_blobs(200, 3, 4, spread=0.5, seed=4)
     arch = ArchSpec(input_dim=4, n_classes=3, hidden_widths=(8,))
