@@ -49,8 +49,7 @@ class ExperimentConfig:
     seeds: tuple
     initial_size: Optional[int] = None
     scope: str = LAST_LAYER
-    split_spec: SplitSpec = field(
-        default_factory=lambda: SplitSpec(test_fraction=0.2))
+    split_spec: SplitSpec = field(default_factory=SplitSpec)
     sweep_lr: bool = False
 
     def __post_init__(self):
@@ -111,17 +110,24 @@ def sweep_learning_rate(arch: ArchSpec, dataset: Dataset, train_indices, val_ind
                         base_cfg: TrainConfig, seed: int) -> float:
     """One-time learning-rate sweep: train on ``train_indices`` at each of
     ``SWEEP_RATES``, keep the rate with the highest validation accuracy.
-    Ties go to the smaller rate (the first one tried)."""
+    Ties go to the smaller rate (the first one tried). A rate whose
+    training diverges is skipped; if every rate diverges, that is raised."""
     val_indices = np.asarray(val_indices, dtype=np.int64)
     if val_indices.size == 0:
         raise ValueError("learning-rate sweep needs a nonempty validation split")
-    best_rate, best_acc = None, -1.0
+    best_rate, best_acc, diverged = None, -1.0, []
     for rate in SWEEP_RATES:
         cfg = replace(base_cfg, learning_rate=rate, seed=seed)
-        fitted = train(init_model(arch, seed), dataset, train_indices, cfg)
+        try:
+            fitted = train(init_model(arch, seed), dataset, train_indices, cfg)
+        except ArithmeticError as exc:
+            diverged.append(str(exc))
+            continue
         acc = evaluate_accuracy(fitted, dataset, val_indices)
         if acc > best_acc:
             best_rate, best_acc = rate, acc
+    if best_rate is None:
+        raise ArithmeticError("learning-rate sweep: every rate diverged: " + "; ".join(diverged))
     return best_rate
 
 

@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,12 +94,19 @@ def load_config(path) -> dict:
 
 
 def _get(cfg: dict, name: str, kind, default=None, required=False, where="", minimum=None):
+    """Field ``name`` of ``cfg`` checked against ``kind``; a ``tuple`` kind
+    reads a list of positive integers."""
     label = f"{where}{name}"
     if name not in cfg:
         if required:
             raise ConfigError(f"{label}: required field missing")
         return default
     value = cfg[name]
+    if kind is tuple:
+        if not isinstance(value, list) or not all(
+                isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in value):
+            raise ConfigError(f"{label}: expected a list of positive integers")
+        return tuple(value)
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if kind is not None and not isinstance(value, kind) or isinstance(value, bool) and kind is int:
@@ -109,6 +116,23 @@ def _get(cfg: dict, name: str, kind, default=None, required=False, where="", min
     if minimum is not None and value < minimum:
         raise ConfigError(f"{label}: must be >= {minimum}")
     return value
+
+
+def _section(cls, raw: dict, where: str, **given):
+    """A ``cls`` dataclass from the config section ``raw``: each field not in
+    ``given`` is read under its annotated type, an absent one takes the
+    dataclass default. ``given`` values are never read from the config."""
+    values = dict(given)
+    for f in fields(cls):
+        if f.name not in given:
+            required = f.default is MISSING and f.default_factory is MISSING
+            value = _get(raw, f.name, f.type, required=required, where=f"{where}.")
+            if value is not None:
+                values[f.name] = value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def build_dataset(cfg: dict, where: str = "dataset.") -> Dataset:
@@ -131,41 +155,6 @@ def build_dataset(cfg: dict, where: str = "dataset.") -> Dataset:
         except FileNotFoundError as exc:
             raise ConfigError(f"{where}path: {exc}") from exc
     raise ConfigError(f"{where}kind: unknown dataset kind {kind!r}")
-
-
-def build_split(cfg: dict) -> SplitSpec:
-    cfg = cfg or {}
-    try:
-        return SplitSpec(
-            test_fraction=_get(cfg, "test_fraction", float, 0.2, where="split."),
-            validation_fraction=_get(cfg, "validation_fraction", float, 0.0, where="split."),
-            seed=_get(cfg, "seed", int, 0, where="split."),
-            stratified=_get(cfg, "stratified", bool, True, where="split."),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"split: {exc}") from exc
-
-
-def build_arch(cfg: dict, dataset: Dataset) -> ArchSpec:
-    cfg = cfg or {}
-    widths = _get(cfg, "hidden_widths", list, [512, 256], where="model.")
-    if not all(isinstance(w, int) and w > 0 for w in widths):
-        raise ConfigError("model.hidden_widths: expected positive integers")
-    return ArchSpec(input_dim=dataset.n_features, n_classes=dataset.n_classes,
-                    hidden_widths=tuple(widths))
-
-
-def build_train(cfg: dict) -> TrainConfig:
-    cfg = cfg or {}
-    try:
-        return TrainConfig(
-            learning_rate=_get(cfg, "learning_rate", float, 0.001, where="train."),
-            epochs=_get(cfg, "epochs", int, 40, where="train."),
-            momentum=_get(cfg, "momentum", float, 0.9, where="train."),
-            minibatch_size=_get(cfg, "minibatch_size", int, 8, where="train."),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"train: {exc}") from exc
 
 
 def _methods_from(cfg: dict) -> list:
@@ -198,6 +187,13 @@ def _standardized(dataset: Dataset, train_idx: np.ndarray) -> Dataset:
     scaler = Standardizer.fit(dataset.features[train_idx])
     return Dataset(scaler.transform(dataset.features), dataset.labels.copy(),
                    dataset.n_classes, name=dataset.name)
+
+
+def _trained(arch: ArchSpec, dataset: Dataset, labeled, train_cfg: TrainConfig, seed: int):
+    """A verb's single model: init keyed by (seed, "init"), trained on
+    ``labeled`` with shuffling keyed by (seed, "train")."""
+    model = init_model(arch, seed=derive_seed(seed, "init"))
+    return train(model, dataset, labeled, replace(train_cfg, seed=derive_seed(seed, "train")))
 
 
 def _arch_name(arch: ArchSpec) -> str:
@@ -300,15 +296,16 @@ def _batch_dict(batch):
 def cmd_run(config: dict, out_flag=None) -> int:
     started = _timestamp()
     dataset = build_dataset(_get(config, "dataset", dict, required=True))
-    split_spec = build_split(_get(config, "split", dict, {}))
-    arch = build_arch(_get(config, "model", dict, {}), dataset)
-    train_cfg = build_train(_get(config, "train", dict, {}))
+    split_spec = _section(SplitSpec, _get(config, "split", dict, {}), "split")
+    arch = _section(ArchSpec, _get(config, "model", dict, {}), "model",
+                    input_dim=dataset.n_features, n_classes=dataset.n_classes)
+    train_cfg = _section(TrainConfig, _get(config, "train", dict, {}), "train", seed=0)
     methods = _methods_from(config)
     scope = _scope_from(config)
     seeds = _seeds_from(config)
     b = _get(config, "batch_size", int, required=True, minimum=1)
-    rounds = _get(config, "rounds", int, required=True)
-    initial_size = _get(config, "initial_size", int)
+    rounds = _get(config, "rounds", int, required=True, minimum=0)
+    initial_size = _get(config, "initial_size", int, minimum=1)
     sweep_lr = _get(config, "sweep_lr", bool, False)
     standardize = _get(config, "standardize", bool, False)
 
@@ -318,13 +315,10 @@ def cmd_run(config: dict, out_flag=None) -> int:
     if standardize:
         dataset = _standardized(dataset, train_idx)
 
-    try:
-        cfgs = [ExperimentConfig(
-            arch=arch, train=train_cfg, method=method, b=b, rounds=rounds,
-            seeds=seeds, initial_size=initial_size, scope=scope,
-            split_spec=split_spec, sweep_lr=sweep_lr) for method in methods]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    cfgs = [ExperimentConfig(
+        arch=arch, train=train_cfg, method=method, b=b, rounds=rounds,
+        seeds=seeds, initial_size=initial_size, scope=scope,
+        split_spec=split_spec, sweep_lr=sweep_lr) for method in methods]
     if cfgs[0].init_size + min(1, rounds) > train_idx.size:
         name = "batch_size" if initial_size is None else "initial_size"
         raise ConfigError(f"{name}: {cfgs[0].init_size} initial points leave no pool "
@@ -463,23 +457,21 @@ def cmd_compare(results_dir, slice_name: str, alpha: float, out_flag=None) -> in
 def cmd_geometry(config: dict, out_flag=None) -> int:
     started = _timestamp()
     dataset = build_dataset(_get(config, "dataset", dict, required=True))
-    arch = build_arch(_get(config, "model", dict, {}), dataset)
-    train_cfg = build_train(_get(config, "train", dict, {}))
+    arch = _section(ArchSpec, _get(config, "model", dict, {}), "model",
+                    input_dim=dataset.n_features, n_classes=dataset.n_classes)
+    train_cfg = _section(TrainConfig, _get(config, "train", dict, {}), "train", seed=0)
     methods = _methods_from(config)
     scope = _scope_from(config)
     seed = _get(config, "seed", int, 0)
     initial_size = _get(config, "initial_size", int, 10)
     if not 1 <= initial_size < dataset.n_samples:
         raise ConfigError(f"initial_size: must be in [1, {dataset.n_samples - 1}]")
-    batch_sizes = _get(config, "batch_sizes", list, [10, 20, 40])
-    if not batch_sizes or not all(isinstance(v, int) and v > 0 for v in batch_sizes):
-        raise ConfigError("batch_sizes: expected positive integers")
+    batch_sizes = _get(config, "batch_sizes", tuple, (10, 20, 40))
+    if not batch_sizes:
+        raise ConfigError("batch_sizes: must be nonempty")
 
-    all_idx = np.arange(dataset.n_samples)
-    pool = init_pool(all_idx, initial_size, seed)
-    model = init_model(arch, seed=derive_seed(seed, "init"))
-    model = train(model, dataset, pool.labeled,
-                  replace(train_cfg, seed=derive_seed(seed, "train")))
+    pool = init_pool(np.arange(dataset.n_samples), initial_size, seed)
+    model = _trained(arch, dataset, pool.labeled, train_cfg, seed)
     param_hash = hashlib.sha256(model.params.tobytes()).hexdigest()
 
     input_xy = pca_project(dataset.features, 2)
@@ -541,9 +533,10 @@ def _shift_vector(config: dict, dataset: Dataset) -> np.ndarray:
 def cmd_shift(config: dict, out_flag=None) -> int:
     started = _timestamp()
     dataset = build_dataset(_get(config, "dataset", dict, required=True))
-    split_spec = build_split(_get(config, "split", dict, {}))
-    arch = build_arch(_get(config, "model", dict, {}), dataset)
-    train_cfg = build_train(_get(config, "train", dict, {}))
+    split_spec = _section(SplitSpec, _get(config, "split", dict, {}), "split")
+    arch = _section(ArchSpec, _get(config, "model", dict, {}), "model",
+                    input_dim=dataset.n_features, n_classes=dataset.n_classes)
+    train_cfg = _section(TrainConfig, _get(config, "train", dict, {}), "train", seed=0)
     scope = _scope_from(config)
     seeds = _seeds_from(config)
     shift = _shift_vector(config, dataset)
@@ -557,13 +550,9 @@ def cmd_shift(config: dict, out_flag=None) -> int:
 
     per_seed, rows = [], []
     for seed in seeds:
-        model = init_model(arch, seed=derive_seed(seed, "init"))
-        model = train(model, dataset, train_idx,
-                      replace(train_cfg, seed=derive_seed(seed, "train")))
+        model = _trained(arch, dataset, train_idx, train_cfg, seed)
         base_scores = df_scores(model, dataset, train_idx, eval_idx, scope=scope)
         shift_scores = df_scores(model, shifted, train_idx, eval_idx, scope=scope)
-        if base_scores.size != shift_scores.size:
-            raise RuntimeError("evaluation sets have unequal sizes")
         per_seed.append({
             "seed": int(seed),
             "base_mean": float(base_scores.mean()),
@@ -592,23 +581,8 @@ def cmd_shift(config: dict, out_flag=None) -> int:
 def cmd_contraction(config: dict, out_flag=None) -> int:
     started = _timestamp()
     dataset = build_dataset(_get(config, "dataset", dict, required=True))
-    section = _get(config, "contraction", dict, {})
-    widths = _get(section, "hidden_widths", list, [64], where="contraction.")
-    try:
-        trace_cfg = ContractionConfig(
-            s_size=_get(section, "s_size", int, 1000, where="contraction."),
-            subset_fraction=_get(section, "subset_fraction", float, 0.1, where="contraction."),
-            epochs=_get(section, "epochs", int, 150, where="contraction."),
-            learning_rate=_get(section, "learning_rate", float, 1e-4, where="contraction."),
-            seed=_get(section, "seed", int, 0, where="contraction."),
-            scope=_get(section, "scope", str, "full", where="contraction."),
-            hidden_widths=tuple(widths),
-            momentum=_get(section, "momentum", float, 0.0, where="contraction."),
-            minibatch_size=_get(section, "minibatch_size", int, 0, where="contraction."),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"contraction: {exc}") from exc
-
+    trace_cfg = _section(ContractionConfig, _get(config, "contraction", dict, {}),
+                         "contraction")
     try:
         report = run_contraction_trace(trace_cfg, dataset)
     except ValueError as exc:
@@ -656,14 +630,14 @@ def cmd_timing(config: dict, out_flag=None) -> int:
     dataset = build_dataset(dataset_cfg)
     if dataset.n_samples < pool_size + initial_size:
         raise ConfigError("dataset.n_samples: smaller than pool_size + initial_size")
-    arch = build_arch(_get(config, "model", dict, {"hidden_widths": [128, 64]}), dataset)
-    train_cfg = build_train(_get(config, "train", dict, {"epochs": 3, "learning_rate": 0.01}))
+    arch = _section(ArchSpec, _get(config, "model", dict, {"hidden_widths": [128, 64]}),
+                    "model", input_dim=dataset.n_features, n_classes=dataset.n_classes)
+    train_raw = _get(config, "train", dict, {"epochs": 3, "learning_rate": 0.01})
+    train_cfg = _section(TrainConfig, train_raw, "train", seed=0)
 
     base = init_pool(np.arange(dataset.n_samples), initial_size, seed)
     start_pool = PoolState(labeled=base.labeled, unlabeled=base.unlabeled[:pool_size])
-    model = init_model(arch, seed=derive_seed(seed, "init"))
-    model = train(model, dataset, start_pool.labeled,
-                  replace(train_cfg, seed=derive_seed(seed, "train")))
+    model = _trained(arch, dataset, start_pool.labeled, train_cfg, seed)
 
     per_method = {}
     for method in methods:
@@ -738,19 +712,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.verb == "run":
-            return cmd_run(load_config(args.config), args.out)
         if args.verb == "compare":
             return cmd_compare(args.results, args.slice, args.alpha, args.out)
-        if args.verb == "geometry":
-            return cmd_geometry(load_config(args.config), args.out)
-        if args.verb == "shift":
-            return cmd_shift(load_config(args.config), args.out)
-        if args.verb == "contraction":
-            return cmd_contraction(load_config(args.config), args.out)
-        if args.verb == "timing":
-            return cmd_timing(load_config(args.config), args.out)
-        raise ConfigError(f"unknown verb {args.verb!r}")
+        command = {"run": cmd_run, "geometry": cmd_geometry, "shift": cmd_shift,
+                   "contraction": cmd_contraction, "timing": cmd_timing}[args.verb]
+        return command(load_config(args.config), args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -51,7 +51,7 @@ class Dataset:
 class SplitSpec:
     """How to carve test and validation splits out of a dataset."""
 
-    test_fraction: float
+    test_fraction: float = 0.2
     validation_fraction: float = 0.0
     seed: int = 0
     stratified: bool = True

@@ -73,7 +73,7 @@ class ModelState:
 class TrainConfig:
     """SGD hyperparameters; heavy-ball momentum, no LR schedule."""
 
-    learning_rate: float
+    learning_rate: float = 0.001
     epochs: int = 40
     momentum: float = 0.9
     minibatch_size: int = 8

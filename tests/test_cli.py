@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -21,6 +22,9 @@ from gradal.cli import (
     parse_slice,
     resolve_out_dir,
 )
+from gradal.contraction import ContractionConfig
+from gradal.data import SplitSpec
+from gradal.model import ArchSpec, TrainConfig
 from gradal.numerics import Rng
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "gradal" / "schemas"
@@ -216,6 +220,8 @@ def test_non_finite_config_number_exits_2_naming_field(tmp_path, capsys, verb, s
     ("run", "batch_size", 0),
     ("run", "initial_size", 500),
     ("run", "sweep_lr", True),  # with no validation split
+    ("run", "rounds", -1),
+    ("run", "initial_size", 0),
 ])
 def test_out_of_range_config_count_exits_2_naming_field(tmp_path, capsys, verb, field,
                                                         value):
@@ -227,6 +233,25 @@ def test_out_of_range_config_count_exits_2_naming_field(tmp_path, capsys, verb, 
     code = main([verb, "--config", str(path), "--out", str(out)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, section, field, value, label", [
+    ("run", "model", "hidden_widths", [True], "model.hidden_widths"),
+    ("contraction", "contraction", "hidden_widths", [1.5], "contraction.hidden_widths"),
+    ("contraction", "contraction", "hidden_widths", ["a"], "contraction.hidden_widths"),
+    ("geometry", None, "batch_sizes", [True], "batch_sizes"),
+])
+def test_non_count_in_a_count_list_exits_2_naming_field(tmp_path, capsys, verb, section,
+                                                        field, value, label):
+    config = {"run": run_config, "geometry": geometry_config,
+              "contraction": contraction_config}[verb]()
+    (config[section] if section else config)[field] = value
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    code = main([verb, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert label in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -609,3 +634,88 @@ def test_timing_pool_too_small_for_schedule(tmp_path):
     config["pool_size"] = 9  # < rounds x batch_size
     with pytest.raises(ConfigError, match="pool_size"):
         cmd_timing(config, out_flag=tmp_path)
+
+
+# ------------------------------------------------------------ config sections
+
+class Built(Exception):
+    """Stops a verb once it has built its config objects."""
+
+
+def built(monkeypatch, verb, config):
+    """The arguments ``verb`` hands on once its config is read: to
+    ``run_experiments`` (run), ``run_contraction_trace`` (contraction) or
+    ``_trained`` (timing)."""
+    import gradal.cli as cli
+
+    def stop(*args):
+        raise Built(*args)
+
+    target = {"run": "run_experiments", "contraction": "run_contraction_trace",
+              "timing": "_trained"}[verb]
+    monkeypatch.setattr(cli, target, stop)
+    with pytest.raises(Built) as caught:
+        getattr(cli, f"cmd_{verb}")(config, out_flag="unused")
+    return caught.value.args
+
+
+# every field each section reads, at a value other than its default
+NON_DEFAULT_SECTIONS = {
+    "split": ({"test_fraction": 0.3, "validation_fraction": 0.1, "seed": 7,
+               "stratified": False},
+              SplitSpec(test_fraction=0.3, validation_fraction=0.1, seed=7,
+                        stratified=False)),
+    "train": ({"learning_rate": 0.02, "epochs": 3, "momentum": 0.5, "minibatch_size": 4},
+              TrainConfig(learning_rate=0.02, epochs=3, momentum=0.5, minibatch_size=4)),
+    "model": ({"hidden_widths": [7, 5]},
+              ArchSpec(input_dim=3, n_classes=3, hidden_widths=(7, 5))),
+    "contraction": ({"s_size": 40, "subset_fraction": 0.25, "epochs": 4,
+                     "learning_rate": 0.02, "seed": 3, "scope": "last_layer",
+                     "hidden_widths": [6, 4], "momentum": 0.5, "minibatch_size": 8},
+                    ContractionConfig(s_size=40, subset_fraction=0.25, epochs=4,
+                                      learning_rate=0.02, seed=3, scope="last_layer",
+                                      hidden_widths=(6, 4), momentum=0.5, minibatch_size=8)),
+}
+UNREAD_FIELDS = {"model": {"input_dim", "n_classes"}, "train": {"seed"}}
+
+
+@pytest.mark.parametrize("section", sorted(NON_DEFAULT_SECTIONS))
+def test_section_reads_every_field_of_its_dataclass(monkeypatch, section):
+    raw, expected = NON_DEFAULT_SECTIONS[section]
+    names = {f.name for f in fields(expected)}
+    assert set(raw) == names - UNREAD_FIELDS.get(section, set())
+    assert all(getattr(expected, f.name) != f.default for f in fields(expected) if f.name in raw)
+    if section == "contraction":
+        config = contraction_config()
+        config["contraction"] = raw
+        assert built(monkeypatch, "contraction", config)[0] == expected
+    else:
+        config = run_config()
+        config[section] = raw
+        cfg = built(monkeypatch, "run", config)[0][0]
+        assert {"split": cfg.split_spec, "train": cfg.train, "model": cfg.arch}[section] == expected
+
+
+def test_absent_sections_take_the_dataclass_defaults(monkeypatch):
+    config = run_config()
+    del config["split"], config["train"], config["model"]
+    cfg = built(monkeypatch, "run", config)[0][0]
+    assert cfg.split_spec == SplitSpec()
+    assert cfg.train == TrainConfig()
+    assert cfg.arch == ArchSpec(input_dim=3, n_classes=3)
+
+    config = contraction_config()
+    del config["contraction"]
+    assert built(monkeypatch, "contraction", config)[0] == ContractionConfig()
+
+    config = timing_config()
+    del config["model"], config["train"]
+    arch, _, _, train_cfg, _ = built(monkeypatch, "timing", config)
+    assert arch == ArchSpec(input_dim=4, n_classes=3, hidden_widths=(128, 64))
+    assert train_cfg == TrainConfig(learning_rate=0.01, epochs=3)
+
+
+def test_train_seed_is_not_read(monkeypatch):
+    config = run_config()
+    config["train"]["seed"] = 5
+    assert built(monkeypatch, "run", config)[0][0].train.seed == 0

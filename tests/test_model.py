@@ -13,6 +13,7 @@ from gradal.model import (
     ModelState,
     TrainConfig,
     _mean_grad,
+    diverged_error,
     grad_embedding,
     grad_embeddings,
     init_model,
@@ -450,6 +451,40 @@ def test_sweep_prefers_smaller_rate_on_tie(monkeypatch):
         TrainConfig(learning_rate=0.01, epochs=1, seed=0), seed=0)
     assert rate == 0.0001  # smallest candidate wins ties
     assert len(calls) == 5
+
+
+def _diverging_from(limit):
+    """A stand-in for ``train`` that diverges at rates >= ``limit`` and
+    otherwise returns the rate as the fitted model."""
+    def fake_train(model, dataset, indices, cfg):
+        if cfg.learning_rate >= limit:
+            raise diverged_error(1, cfg.learning_rate)
+        return cfg.learning_rate
+    return fake_train
+
+
+def test_sweep_skips_diverging_rates(monkeypatch):
+    import gradal.al_loop as al_loop
+
+    monkeypatch.setattr(al_loop, "train", _diverging_from(0.005))
+    # accuracy grows with the rate, so the largest rate that trained wins
+    monkeypatch.setattr(al_loop, "evaluate_accuracy", lambda rate, dataset, test: rate)
+    rate = al_loop.sweep_learning_rate(
+        tiny_arch(), tiny_dataset(), np.arange(20), np.arange(20, 30),
+        TrainConfig(learning_rate=0.01, epochs=1), seed=0)
+    assert rate == 0.001
+
+
+def test_sweep_raises_naming_every_rate_when_all_diverge(monkeypatch):
+    import gradal.al_loop as al_loop
+
+    monkeypatch.setattr(al_loop, "train", _diverging_from(0.0))
+    with pytest.raises(ArithmeticError) as caught:
+        al_loop.sweep_learning_rate(
+            tiny_arch(), tiny_dataset(), np.arange(20), np.arange(20, 30),
+            TrainConfig(learning_rate=0.01, epochs=1), seed=0)
+    for rate in al_loop.SWEEP_RATES:
+        assert f"at learning rate {rate:g}" in str(caught.value)
 
 
 def test_sweep_picks_argmax_rate():
