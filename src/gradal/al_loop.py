@@ -66,6 +66,8 @@ class ExperimentConfig:
         if self.scope not in SCOPES:
             raise ValueError(f"unknown scope {self.scope!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must not repeat")
 
     @property
     def init_size(self) -> int:

@@ -20,13 +20,13 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .acquisition import METHODS, df_scores, pseudo_labels, timed_select
+from .acquisition import METHODS, df_scores, timed_select
 from .al_loop import ExperimentConfig, run_experiments
 from .contraction import ContractionConfig, cumulative_df_bound_check, run_contraction_trace
 from .data import (
@@ -42,7 +42,6 @@ from .data import (
 )
 from .evaluation import (
     ComparisonSlice,
-    PenaltyMatrix,
     build_ppm,
     curves_from_results,
     loss_scores,
@@ -121,7 +120,11 @@ def _get(cfg: dict, name: str, kind, default=None, required=False, where="", min
 def _section(cls, raw: dict, where: str, **given):
     """A ``cls`` dataclass from the config section ``raw``: each field not in
     ``given`` is read under its annotated type, an absent one takes the
-    dataclass default. ``given`` values are never read from the config."""
+    dataclass default, and a key that names no field is an error. ``given``
+    values are never read from the config."""
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: unknown field")
     values = dict(given)
     for f in fields(cls):
         if f.name not in given:
@@ -180,6 +183,8 @@ def _seeds_from(cfg: dict, default=(0,)) -> tuple:
     seeds = _get(cfg, "seeds", list, list(default))
     if not seeds or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
         raise ConfigError("seeds: expected a nonempty list of integers")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError("seeds: duplicate entries")
     return tuple(seeds)
 
 
@@ -229,9 +234,16 @@ def _replacing(path: Path):
         tmp.unlink(missing_ok=True)
 
 
+def _plain(value):
+    """``json``'s fallback: numpy arrays and scalars as their Python values."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def write_json(path: Path, payload: dict):
     with _replacing(path) as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2, default=_plain) + "\n")
 
 
 def write_table(path: Path, fingerprint: str, header, rows):
@@ -281,16 +293,6 @@ def _emit(command: str, config: dict, out_flag, started: str, files: dict,
     return 0
 
 
-def _batch_dict(batch):
-    if batch is None:
-        return None
-    return {
-        "indices": [int(i) for i in batch.indices],
-        "method": batch.method,
-        "scores": None if batch.scores is None else [float(s) for s in batch.scores],
-    }
-
-
 # ---------------------------------------------------------------- run
 
 def cmd_run(config: dict, out_flag=None) -> int:
@@ -325,30 +327,11 @@ def cmd_run(config: dict, out_flag=None) -> int:
                           f"in a training split of {train_idx.size}")
     per_method = dict(zip(methods, run_experiments(cfgs, dataset)))
 
+    # each entry holds the fields of ExperimentResult; its key is the method
     results = {
         "manifest": {"dataset_name": dataset.name, "arch_name": _arch_name(arch)},
-        "per_method": {
-            m: {
-                "seeds": list(r.seeds),
-                "learning_rate": r.learning_rate,
-                "truncated": r.truncated,
-                "seed_errors": r.seed_errors,
-                "per_seed": [
-                    [
-                        {
-                            "round": rec.round,
-                            "labeled_size": rec.labeled_size,
-                            "test_accuracy": rec.test_accuracy,
-                            "acquisition_seconds": rec.acquisition_seconds,
-                            "batch": _batch_dict(rec.batch),
-                        }
-                        for rec in records
-                    ]
-                    for records in r.per_seed
-                ],
-            }
-            for m, r in per_method.items()
-        },
+        "per_method": {m: {k: v for k, v in asdict(r).items() if k != "method"}
+                       for m, r in per_method.items()},
     }
     rows = []
     for m, r in per_method.items():
@@ -429,8 +412,7 @@ def cmd_compare(results_dir, slice_name: str, alpha: float, out_flag=None) -> in
         raise RuntimeError(
             f"{exc}; experiments: " + ", ".join(str(p) for p in runs.values())) from exc
     if alpha == 0.0:
-        ppm = PenaltyMatrix(methods=ppm.methods, P=np.zeros_like(ppm.P),
-                            experiments_counted=ppm.experiments_counted)
+        ppm = replace(ppm, P=np.zeros_like(ppm.P))
     scores = loss_scores(ppm)
 
     config = {
@@ -440,12 +422,7 @@ def cmd_compare(results_dir, slice_name: str, alpha: float, out_flag=None) -> in
         "inputs": sorted(runs),
     }
     return _emit("compare", config, out_flag, started, {
-        "ppm.json": {
-            "methods": list(ppm.methods),
-            "P": [[float(v) for v in row] for row in ppm.P],
-            "experiments_counted": ppm.experiments_counted,
-            "loss_scores": scores,
-        },
+        "ppm.json": {**asdict(ppm), "loss_scores": scores},
         "ppm.csv": (["method"] + list(ppm.methods),
                     [[m] + [float(v) for v in ppm.P[i]] for i, m in enumerate(ppm.methods)]),
         "loss_scores.csv": (["method", "loss_score"], [[m, scores[m]] for m in ppm.methods]),
@@ -475,8 +452,7 @@ def cmd_geometry(config: dict, out_flag=None) -> int:
     param_hash = hashlib.sha256(model.params.tobytes()).hexdigest()
 
     input_xy = pca_project(dataset.features, 2)
-    emb = grad_embeddings(model, dataset.features,
-                          pseudo_labels(model, dataset.features), scope=scope)
+    emb = grad_embeddings(model, dataset.features, scope=scope)
     emb_xy = pca_project(emb, 2)
 
     batches, hashes = {}, {}
@@ -485,14 +461,14 @@ def cmd_geometry(config: dict, out_flag=None) -> int:
         for b in batch_sizes:
             rng = Rng(seed).derive(f"geometry/{method}/B{b}")
             batch, _ = timed_select(method, model, dataset, pool, b, rng, scope=scope)
-            batches[method][str(b)] = [int(i) for i in batch.indices]
+            batches[method][str(b)] = batch.indices
             hashes[f"{method}/B{b}"] = hashlib.sha256(model.params.tobytes()).hexdigest()
 
-    labeled_set = set(int(i) for i in pool.labeled)
+    labeled_set = set(pool.labeled.tolist())
     rows_input, rows_emb = [], []
     for method in methods:
         for b in batch_sizes:
-            acquired = set(batches[method][str(b)])
+            acquired = set(batches[method][str(b)].tolist())
             for i in range(dataset.n_samples):
                 role = ("initial" if i in labeled_set
                         else "acquired" if i in acquired else "pool")
@@ -506,7 +482,7 @@ def cmd_geometry(config: dict, out_flag=None) -> int:
         "geometry.json": {
             "model_param_sha256": param_hash,
             "param_hash_per_acquisition": hashes,
-            "initial": [int(i) for i in pool.labeled],
+            "initial": pool.labeled,
             "batches": batches,
         },
     })
@@ -554,12 +530,12 @@ def cmd_shift(config: dict, out_flag=None) -> int:
         base_scores = df_scores(model, dataset, train_idx, eval_idx, scope=scope)
         shift_scores = df_scores(model, shifted, train_idx, eval_idx, scope=scope)
         per_seed.append({
-            "seed": int(seed),
-            "base_mean": float(base_scores.mean()),
-            "base_median": float(np.median(base_scores)),
-            "shifted_mean": float(shift_scores.mean()),
-            "shifted_median": float(np.median(shift_scores)),
-            "shifted_gt_base": bool(shift_scores.mean() > base_scores.mean()),
+            "seed": seed,
+            "base_mean": base_scores.mean(),
+            "base_median": np.median(base_scores),
+            "shifted_mean": shift_scores.mean(),
+            "shifted_median": np.median(shift_scores),
+            "shifted_gt_base": shift_scores.mean() > base_scores.mean(),
         })
         for i, s in zip(eval_idx, base_scores):
             rows.append([int(seed), "base", int(i), float(s)])
@@ -569,8 +545,8 @@ def cmd_shift(config: dict, out_flag=None) -> int:
     return _emit("shift", config, out_flag, started, {
         "scores.csv": (["seed", "set", "index", "score"], rows),
         "shift.json": {
-            "shift": [float(v) for v in shift],
-            "n_eval": int(eval_size),
+            "shift": shift,
+            "n_eval": eval_size,
             "per_seed": per_seed,
         },
     })
@@ -591,18 +567,12 @@ def cmd_contraction(config: dict, out_flag=None) -> int:
     bound = None
     if report.t0_estimate is not None:
         lhs, rhs = cumulative_df_bound_check(report.df_norms, report.t0_estimate)
-        bound = {"lhs": lhs, "rhs": rhs, "holds": bool(lhs <= rhs * (1 + 1e-12))}
+        bound = {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1 + 1e-12)}
 
     return _emit("contraction", config, out_flag, started, {
         "trace.csv": (["epoch", "df_norm"],
                       [[t, float(v)] for t, v in enumerate(report.df_norms)]),
-        "report.json": {
-            "df_norms": [float(v) for v in report.df_norms],
-            "t0_estimate": report.t0_estimate,
-            "violation_count_after_t0": report.violation_count_after_t0,
-            "rho_hat": report.rho_hat,
-            "bound_check": bound,
-        },
+        "report.json": {**asdict(report), "bound_check": bound},
     })
 
 
@@ -651,15 +621,14 @@ def cmd_timing(config: dict, out_flag=None) -> int:
             pool = pool.acquire(batch.indices)
         arr = np.asarray(seconds)
         per_method[method] = {
-            "round_seconds": [float(s) for s in seconds],
-            "mean_seconds": float(arr.mean()),
-            "sd_seconds": float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
+            "round_seconds": seconds,
+            "mean_seconds": arr.mean(),
+            "sd_seconds": arr.std(ddof=1) if arr.size > 1 else 0.0,
         }
 
     ordering = None
     if "entropy" in per_method and "grad" in per_method:
-        ordering = bool(per_method["entropy"]["mean_seconds"]
-                        < per_method["grad"]["mean_seconds"])
+        ordering = per_method["entropy"]["mean_seconds"] < per_method["grad"]["mean_seconds"]
 
     report = [f"{m}: {per_method[m]['mean_seconds']:.3f} +/- {per_method[m]['sd_seconds']:.3f} s"
               for m in methods]

@@ -263,8 +263,9 @@ def last_layer_factors(model: ModelState, features: np.ndarray, labels=None):
     return err, np.concatenate([acts[-1], np.ones((features.shape[0], 1))], axis=1)
 
 
-def _full_embeddings(model: ModelState, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n, n_params) per-example full-parameter gradients via backprop."""
+def _full_embeddings(model: ModelState, x: np.ndarray, y=None) -> np.ndarray:
+    """(n, n_params) per-example full-parameter gradients via backprop;
+    ``y`` None takes each row's pseudo-label from the same forward pass."""
     arch = model.arch
     w_layers = _layers(model.params, arch)
     acts, delta = _output_error(w_layers, x, y)
@@ -294,20 +295,18 @@ def grad_embedding_chunks(model: ModelState, features: np.ndarray, labels=None,
             # weight rows by class, then the bias block: the flat parameter order
             yield np.concatenate([np.einsum("nc,nh->nch", e, h).reshape(len(e), -1), e], axis=1)
     elif scope == FULL:
-        if labels is None:
-            labels = np.argmax(predict_proba(model, features), axis=1)
         for i in starts:
-            yield _full_embeddings(model, features[i:i + chunk], labels[i:i + chunk])
+            y = None if labels is None else labels[i:i + chunk]
+            yield _full_embeddings(model, features[i:i + chunk], y)
     else:
         raise ValueError(f"unknown scope {scope!r}")
 
 
-def grad_embeddings(model: ModelState, features: np.ndarray, labels: np.ndarray,
+def grad_embeddings(model: ModelState, features: np.ndarray, labels=None,
                     scope: str = LAST_LAYER, chunk: int = 256) -> np.ndarray:
     """Per-example gradient embeddings for rows of ``features`` under the
-    given labels, one embedding per row."""
-    return np.concatenate(list(grad_embedding_chunks(
-        model, features, np.asarray(labels, dtype=np.int64), scope, chunk)), axis=0)
+    given labels (None: each row's pseudo-label), one embedding per row."""
+    return np.concatenate(list(grad_embedding_chunks(model, features, labels, scope, chunk)))
 
 
 def grad_embedding(model: ModelState, x: np.ndarray, y: int,

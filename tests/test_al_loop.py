@@ -263,6 +263,8 @@ def test_config_validation():
         small_config(rounds=-1)
     with pytest.raises(ValueError):
         small_config(seeds=())
+    with pytest.raises(ValueError, match="seeds must not repeat"):
+        small_config(seeds=(0, 0, 1))
     with pytest.raises(ValueError):
         small_config(initial_size=0)
     with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from gradal.cli import (
     main,
     parse_slice,
     resolve_out_dir,
+    write_json,
 )
 from gradal.contraction import ContractionConfig
 from gradal.data import SplitSpec
@@ -90,6 +91,23 @@ def test_resolve_out_dir_precedence(monkeypatch):
 
 
 # ------------------------------------------------------------ config load
+
+def test_write_json_takes_numpy_values(tmp_path):
+    path = tmp_path / "out.json"
+    write_json(path, {"array": np.arange(3), "matrix": np.eye(2), "int": np.int64(7),
+                      "float": np.float64(0.1), "bool": np.bool_(True)})
+    payload = read_json(path)
+    assert payload == {"array": [0, 1, 2], "matrix": [[1.0, 0.0], [0.0, 1.0]],
+                       "int": 7, "float": 0.1, "bool": True}
+    assert [type(payload[k]) for k in ("int", "float", "bool")] == [int, float, bool]
+
+
+@pytest.mark.parametrize("value", [Path("a"), SplitSpec()])
+def test_write_json_rejects_other_objects(tmp_path, value):
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        write_json(tmp_path / "out.json", {"value": value})
+    assert not list(tmp_path.iterdir())
+
 
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="cannot read"):
@@ -252,6 +270,38 @@ def test_non_count_in_a_count_list_exits_2_naming_field(tmp_path, capsys, verb, 
     code = main([verb, "--config", str(path), "--out", str(out)])
     assert code == 2
     assert label in capsys.readouterr().err
+    assert not out.exists()
+
+
+# a misspelt key names no field: without the check it would silently take
+# the default (here train.learning_rate 0.001 instead of 0.01)
+@pytest.mark.parametrize("verb, section, key", [
+    ("shift", "train", "learning_rat"),
+    ("shift", "split", "test_fractoin"),
+    ("run", "model", "hidden_width"),
+    ("contraction", "contraction", "learning_rat"),
+])
+def test_unknown_section_key_exits_2_naming_it(tmp_path, capsys, verb, section, key):
+    config = {"run": run_config, "shift": shift_config,
+              "contraction": contraction_config}[verb]()
+    config[section][key] = 0.01
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    code = main([verb, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {section}.{key}: unknown field")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "shift"])
+def test_repeated_seeds_exit_2(tmp_path, capsys, verb):
+    config = run_config() if verb == "run" else shift_config()
+    config["seeds"] = [0, 0, 1]
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    code = main([verb, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: seeds: duplicate entries")
     assert not out.exists()
 
 
@@ -719,3 +769,9 @@ def test_train_seed_is_not_read(monkeypatch):
     config = run_config()
     config["train"]["seed"] = 5
     assert built(monkeypatch, "run", config)[0][0].train.seed == 0
+
+
+def test_model_input_dim_is_not_read(monkeypatch):
+    config = run_config()
+    config["model"]["input_dim"] = 99
+    assert built(monkeypatch, "run", config)[0][0].arch.input_dim == 3
