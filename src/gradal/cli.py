@@ -51,9 +51,10 @@ from .model import (
     SCOPES,
     ArchSpec,
     TrainConfig,
+    diverged_error,
     grad_embeddings,
     init_model,
-    train,
+    train_stack,
 )
 from .numerics import Rng, derive_seed, pca_project
 
@@ -117,14 +118,19 @@ def _get(cfg: dict, name: str, kind, default=None, required=False, where="", min
     return value
 
 
+def _only(raw: dict, names, where=""):
+    """Reject a key of ``raw`` that is not in ``names``, naming it."""
+    unknown = sorted(set(raw) - set(names))
+    if unknown:
+        raise ConfigError(f"{where}{unknown[0]}: unknown field")
+
+
 def _section(cls, raw: dict, where: str, **given):
     """A ``cls`` dataclass from the config section ``raw``: each field not in
     ``given`` is read under its annotated type, an absent one takes the
     dataclass default, and a key that names no field is an error. ``given``
     values are never read from the config."""
-    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ConfigError(f"{where}.{unknown[0]}: unknown field")
+    _only(raw, [f.name for f in fields(cls)], f"{where}.")
     values = dict(given)
     for f in fields(cls):
         if f.name not in given:
@@ -194,11 +200,17 @@ def _standardized(dataset: Dataset, train_idx: np.ndarray) -> Dataset:
                    dataset.n_classes, name=dataset.name)
 
 
-def _trained(arch: ArchSpec, dataset: Dataset, labeled, train_cfg: TrainConfig, seed: int):
-    """A verb's single model: init keyed by (seed, "init"), trained on
-    ``labeled`` with shuffling keyed by (seed, "train")."""
-    model = init_model(arch, seed=derive_seed(seed, "init"))
-    return train(model, dataset, labeled, replace(train_cfg, seed=derive_seed(seed, "train")))
+def _trained(arch: ArchSpec, dataset: Dataset, labeled, train_cfg: TrainConfig, seeds):
+    """A verb's models, one per seed, trained on ``labeled`` as one stack:
+    init keyed by (seed, "init"), shuffling keyed by (seed, "train")."""
+    inits = [init_model(arch, seed=derive_seed(seed, "init")) for seed in seeds]
+    params, diverged = train_stack(
+        arch, [model.params for model in inits], [labeled] * len(seeds),
+        [derive_seed(seed, "train") for seed in seeds], dataset, train_cfg.learning_rate,
+        train_cfg.momentum, train_cfg.minibatch_size, train_cfg.epochs)
+    if (diverged >= 0).any():
+        raise diverged_error(diverged[diverged >= 0][0], train_cfg.learning_rate)
+    return [replace(model, params=row) for model, row in zip(inits, params)]
 
 
 def _arch_name(arch: ArchSpec) -> str:
@@ -297,6 +309,8 @@ def _emit(command: str, config: dict, out_flag, started: str, files: dict,
 
 def cmd_run(config: dict, out_flag=None) -> int:
     started = _timestamp()
+    _only(config, "out_dir dataset split model train methods scope seeds batch_size rounds "
+                  "initial_size sweep_lr standardize".split())
     dataset = build_dataset(_get(config, "dataset", dict, required=True))
     split_spec = _section(SplitSpec, _get(config, "split", dict, {}), "split")
     arch = _section(ArchSpec, _get(config, "model", dict, {}), "model",
@@ -433,6 +447,7 @@ def cmd_compare(results_dir, slice_name: str, alpha: float, out_flag=None) -> in
 
 def cmd_geometry(config: dict, out_flag=None) -> int:
     started = _timestamp()
+    _only(config, "out_dir dataset model train methods scope seed initial_size batch_sizes".split())
     dataset = build_dataset(_get(config, "dataset", dict, required=True))
     arch = _section(ArchSpec, _get(config, "model", dict, {}), "model",
                     input_dim=dataset.n_features, n_classes=dataset.n_classes)
@@ -448,7 +463,7 @@ def cmd_geometry(config: dict, out_flag=None) -> int:
         raise ConfigError("batch_sizes: must be nonempty")
 
     pool = init_pool(np.arange(dataset.n_samples), initial_size, seed)
-    model = _trained(arch, dataset, pool.labeled, train_cfg, seed)
+    [model] = _trained(arch, dataset, pool.labeled, train_cfg, (seed,))
     param_hash = hashlib.sha256(model.params.tobytes()).hexdigest()
 
     input_xy = pca_project(dataset.features, 2)
@@ -508,6 +523,7 @@ def _shift_vector(config: dict, dataset: Dataset) -> np.ndarray:
 
 def cmd_shift(config: dict, out_flag=None) -> int:
     started = _timestamp()
+    _only(config, "out_dir dataset split model train scope seeds shift eval_size".split())
     dataset = build_dataset(_get(config, "dataset", dict, required=True))
     split_spec = _section(SplitSpec, _get(config, "split", dict, {}), "split")
     arch = _section(ArchSpec, _get(config, "model", dict, {}), "model",
@@ -525,8 +541,7 @@ def cmd_shift(config: dict, out_flag=None) -> int:
     eval_idx = test_idx[:eval_size]
 
     per_seed, rows = [], []
-    for seed in seeds:
-        model = _trained(arch, dataset, train_idx, train_cfg, seed)
+    for seed, model in zip(seeds, _trained(arch, dataset, train_idx, train_cfg, seeds)):
         base_scores = df_scores(model, dataset, train_idx, eval_idx, scope=scope)
         shift_scores = df_scores(model, shifted, train_idx, eval_idx, scope=scope)
         per_seed.append({
@@ -556,6 +571,7 @@ def cmd_shift(config: dict, out_flag=None) -> int:
 
 def cmd_contraction(config: dict, out_flag=None) -> int:
     started = _timestamp()
+    _only(config, "out_dir dataset contraction".split())
     dataset = build_dataset(_get(config, "dataset", dict, required=True))
     trace_cfg = _section(ContractionConfig, _get(config, "contraction", dict, {}),
                          "contraction")
@@ -580,6 +596,8 @@ def cmd_contraction(config: dict, out_flag=None) -> int:
 
 def cmd_timing(config: dict, out_flag=None) -> int:
     started = _timestamp()
+    _only(config, "out_dir pool_size batch_size rounds initial_size seed methods scope "
+                  "dataset model train".split())
     pool_size = _get(config, "pool_size", int, 25000, minimum=1)
     batch_size = _get(config, "batch_size", int, 500, minimum=1)
     rounds = _get(config, "rounds", int, 5, minimum=1)
@@ -607,7 +625,7 @@ def cmd_timing(config: dict, out_flag=None) -> int:
 
     base = init_pool(np.arange(dataset.n_samples), initial_size, seed)
     start_pool = PoolState(labeled=base.labeled, unlabeled=base.unlabeled[:pool_size])
-    model = _trained(arch, dataset, start_pool.labeled, train_cfg, seed)
+    [model] = _trained(arch, dataset, start_pool.labeled, train_cfg, (seed,))
 
     per_method = {}
     for method in methods:

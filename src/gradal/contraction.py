@@ -131,9 +131,11 @@ def run_contraction_trace(cfg: ContractionConfig, dataset: Dataset,
                     hidden_widths=tuple(cfg.hidden_widths))
     df_norms = np.empty(cfg.epochs)
 
-    def monitor(epoch, params):
+    def monitor(epoch, params, grad):
         snapshot = ModelState(params=params[0], arch=arch)
-        g_s = mean_grad_embedding(snapshot, dataset, s, scope=cfg.scope)
+        # a full-batch step's gradient over S at these params is mean_grad(S)
+        g_s = (grad[0] if grad is not None and cfg.scope == FULL
+               else mean_grad_embedding(snapshot, dataset, s, scope=cfg.scope))
         g_sj = mean_grad_embedding(snapshot, dataset, s_j, scope=cfg.scope)
         df_norms[epoch] = l2_norm(g_s - g_sj)
 

@@ -116,14 +116,16 @@ def init_model(arch: ArchSpec, seed: int) -> ModelState:
     return ModelState(params=params, arch=arch)
 
 
-def _forward(layers, x: np.ndarray):
+def _forward(layers, x: np.ndarray, bufs=None):
     """(per-layer activations including the input, logits) for ``_layers``
-    views; with a leading stack axis, row m runs model m on x[m]."""
+    views; with a leading stack axis, row m runs model m on x[m]. Hidden
+    layer i writes its activations into bufs[i][0] when ``bufs`` is given."""
     acts = [np.asarray(x, dtype=float)]
     a = acts[0]
-    for w, b in layers[:-1]:
-        a = np.maximum(a @ np.swapaxes(w, -1, -2) + b[..., None, :], 0.0)
-        acts.append(a)
+    for i, (w, b) in enumerate(layers[:-1]):
+        a = np.matmul(a, np.swapaxes(w, -1, -2), out=None if bufs is None else bufs[i][0])
+        a += b[..., None, :]
+        acts.append(np.maximum(a, 0.0, out=a))
     w, b = layers[-1]
     return acts, a @ np.swapaxes(w, -1, -2) + b[..., None, :]
 
@@ -139,10 +141,10 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _output_error(layers, x: np.ndarray, y=None):
+def _output_error(layers, x: np.ndarray, y=None, bufs=None):
     """(activations, softmax - onehot(y)) from one forward pass; ``y`` None
     takes each row's pseudo-label: the argmax, lowest class id on ties."""
-    acts, logits = _forward(layers, x)
+    acts, logits = _forward(layers, x, bufs)
     err = _softmax(logits)
     err -= np.eye(err.shape[-1])[np.argmax(err, axis=-1) if y is None else y]
     return acts, err
@@ -177,17 +179,19 @@ def diverged_error(epoch: int, learning_rate: float) -> ArithmeticError:
                            f"at learning rate {learning_rate:g}")
 
 
-def _stack_grad(w_layers, g_layers, x: np.ndarray, y: np.ndarray):
+def _stack_grad(w_layers, g_layers, x: np.ndarray, y: np.ndarray, bufs=None):
     """Write into the views ``g_layers`` the gradient of the mean
-    cross-entropy over (x[m], y[m]) at stack row m's parameters ``w_layers``."""
-    acts, delta = _output_error(w_layers, x, y)
+    cross-entropy over (x[m], y[m]) at stack row m's parameters ``w_layers``;
+    hidden layer i's activations and deltas go into bufs[i][0] and bufs[i][1]."""
+    acts, delta = _output_error(w_layers, x, y, bufs)
     delta /= x.shape[-2]
     for i in range(len(w_layers) - 1, -1, -1):
         gw, gb = g_layers[i]
         np.matmul(np.swapaxes(delta, -1, -2), acts[i], out=gw)
         np.sum(delta, axis=-2, out=gb)
         if i > 0:
-            delta = (delta @ w_layers[i][0]) * (acts[i] > 0)
+            delta = np.matmul(delta, w_layers[i][0], out=None if bufs is None else bufs[i - 1][1])
+            delta *= acts[i] > 0
 
 
 def _mean_grad(params: np.ndarray, arch: ArchSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -207,8 +211,9 @@ def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
     minibatch may be short, and minibatch_size 0 takes one full-batch step
     per epoch. Minibatches are gathered from ``dataset`` by index. Rows share
     no arithmetic, so a row gets the bits it would get alone. After each
-    epoch, ``on_epoch(epoch, params)`` sees the stack. Returns the trained
-    (M, n_params) stack and, per row, the first epoch after which its
+    epoch, ``on_epoch(epoch, params, grad)`` sees the stack and, in full-batch
+    mode, the gradient at it that the next step takes (else None). Returns the
+    trained (M, n_params) stack and, per row, the first epoch after which its
     params were not finite (-1: none); training stops once every row is.
     """
     params = np.array(params, dtype=float)
@@ -216,25 +221,30 @@ def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
     shuffles = [Rng(seed, "shuffle") for seed in seeds]
     diverged = np.full(len(params), -1)
     n = labeled.shape[1]
-    step = minibatch_size or n
     velocity, grad = np.zeros_like(params), np.empty_like(params)
     w_layers, g_layers = _layers(params, arch), _layers(grad, arch)
+    if not minibatch_size:  # one gather, one gradient per step, buffers kept across steps
+        x, y = dataset.features[labeled], dataset.labels[labeled]
+        bufs = [np.empty((2, len(params), n, w)) for w in arch.hidden_widths]
+        _stack_grad(w_layers, g_layers, x, y, bufs)
     for epoch in range(epochs):
-        rows = labeled
         if minibatch_size:
             orders = [s.derive(f"epoch{epoch}").permutation(n) for s in shuffles]
             rows = np.take_along_axis(labeled, np.stack(orders), axis=1)
-        for start in range(0, n, step):
-            batch = rows[:, start:start + step]
-            _stack_grad(w_layers, g_layers, dataset.features[batch], dataset.labels[batch])
+        for start in range(0, n, minibatch_size or n):
+            if minibatch_size:
+                batch = rows[:, start:start + minibatch_size]
+                _stack_grad(w_layers, g_layers, dataset.features[batch], dataset.labels[batch])
             velocity *= momentum
             velocity += grad
             params -= learning_rate * velocity
         diverged[(diverged < 0) & ~np.isfinite(params).all(axis=1)] = epoch
         if (diverged >= 0).all():
             break
+        if not minibatch_size:
+            _stack_grad(w_layers, g_layers, x, y, bufs)
         if on_epoch is not None:
-            on_epoch(epoch, params)
+            on_epoch(epoch, params, None if minibatch_size else grad)
     return params, diverged
 
 

@@ -1,6 +1,7 @@
 import json
+import re
 import shutil
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -24,9 +25,9 @@ from gradal.cli import (
     write_json,
 )
 from gradal.contraction import ContractionConfig
-from gradal.data import SplitSpec
-from gradal.model import ArchSpec, TrainConfig
-from gradal.numerics import Rng
+from gradal.data import SplitSpec, make_blobs
+from gradal.model import ArchSpec, TrainConfig, init_model, train
+from gradal.numerics import Rng, derive_seed
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "gradal" / "schemas"
 
@@ -292,6 +293,32 @@ def test_unknown_section_key_exits_2_naming_it(tmp_path, capsys, verb, section, 
     assert capsys.readouterr().err.startswith(f"config error: {section}.{key}: unknown field")
     assert not out.exists()
 
+
+# a misspelt top-level key would otherwise silently take its default: shift
+# with "sedes" scores seed 0 only; out_dir is a key of every verb
+@pytest.mark.parametrize("verb, key, value", [
+    ("run", "batchsize", 4),
+    ("geometry", "batch_size", 5),
+    ("shift", "sedes", [5]),
+    ("contraction", "epochs", 3),
+    ("timing", "pool", 60),
+])
+def test_unknown_top_level_key_exits_2_naming_it(tmp_path, capsys, monkeypatch, verb, key,
+                                                 value):
+    config = {"run": run_config, "geometry": geometry_config, "shift": shift_config,
+              "contraction": contraction_config, "timing": timing_config}[verb]()
+    config[key] = value
+    out = tmp_path / "out"
+    code = main([verb, "--config", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: unknown field")
+    assert not out.exists()
+
+    monkeypatch.delenv("GRADAL_OUT", raising=False)
+    del config[key]
+    config["out_dir"] = str(out)
+    assert main([verb, "--config", str(write_config(tmp_path, config))]) == 0
+    assert (out / fingerprint_of(config) / "manifest.json").is_file()
 
 @pytest.mark.parametrize("verb", ["run", "shift"])
 def test_repeated_seeds_exit_2(tmp_path, capsys, verb):
@@ -580,6 +607,42 @@ def test_shift_zero_vector_identical_scores(tmp_path):
         assert row["base_mean"] == row["shifted_mean"]
         assert not row["shifted_gt_base"]
 
+
+def test_shift_trains_its_seeds_as_one_stack(monkeypatch):
+    # one train_stack call; each row has the bits of the seed's model alone
+    import gradal.cli as cli
+
+    calls = []
+    real = cli.train_stack
+
+    def spy(arch, params, *args, **kwargs):
+        calls.append(len(params))
+        return real(arch, params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_stack", spy)
+    ds = make_blobs(80, 3, 4, spread=1.0, seed=2)
+    arch = ArchSpec(input_dim=4, n_classes=3, hidden_widths=(8,))
+    cfg = TrainConfig(learning_rate=0.01, epochs=3, minibatch_size=4)
+    labeled = np.arange(0, 80, 3)
+    models = cli._trained(arch, ds, labeled, cfg, (0, 5, 9))
+    assert calls == [3]
+    for seed, trained in zip((0, 5, 9), models):
+        alone = train(init_model(arch, seed=derive_seed(seed, "init")), ds, labeled,
+                      replace(cfg, seed=derive_seed(seed, "train")))
+        assert np.array_equal(trained.params, alone.params), seed
+
+
+def test_shift_divergence_exits_1_naming_epoch_and_rate(tmp_path, capsys):
+    config = shift_config()
+    config["train"]["learning_rate"] = 1e300
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = main(["shift", "--config", str(write_config(tmp_path, config)),
+                     "--out", str(out)])
+    assert code == 1
+    assert re.match(r"error: training diverged at epoch \d+ at learning rate 1e\+300$",
+                    capsys.readouterr().err)
+    assert not out.exists()
 
 def test_shift_vector_length_checked(tmp_path):
     config = shift_config(shift=[1.0, 2.0])

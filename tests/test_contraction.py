@@ -9,7 +9,16 @@ from gradal.contraction import (
     run_contraction_trace,
 )
 from gradal.data import make_blobs
-from gradal.model import FULL, ArchSpec, ModelState, _mean_grad, grad_embeddings, init_model
+from gradal.model import (
+    FULL,
+    LAST_LAYER,
+    ArchSpec,
+    ModelState,
+    _mean_grad,
+    _stack_grad,
+    grad_embeddings,
+    init_model,
+)
 from gradal.numerics import Rng
 
 
@@ -144,6 +153,30 @@ def test_dual_route_mean_gradient_agreement():
     route2 = grad_embeddings(model, ds.features[idx], ds.labels[idx],
                              scope=FULL).mean(axis=0)
     assert np.linalg.norm(route1 - route2) <= 1e-10 * max(1.0, np.linalg.norm(route2))
+
+
+@pytest.mark.parametrize("scope, minibatch_size, s_passes, s_j_passes", [
+    # the engine's gradient over S before each step and after the last one
+    # serves as mean_grad(S); the monitor adds one pass over S_J per epoch
+    (FULL, 0, 8 + 1, 8),
+    # minibatches over S, then mean_grad(S) and mean_grad(S_J) per epoch
+    (FULL, 8, 8 + 8, 8),
+    # the full-batch steps, plus the gradient after the last step that the
+    # engine hands on; the last-layer monitor runs on forward-pass factors
+    (LAST_LAYER, 0, 8 + 1, 0),
+])
+def test_trace_backprop_row_count(monkeypatch, scope, minibatch_size, s_passes, s_j_passes):
+    rows = []
+
+    def spy(w_layers, g_layers, x, y, *bufs):
+        rows.append(int(np.prod(x.shape[:-1])))
+        return _stack_grad(w_layers, g_layers, x, y, *bufs)
+
+    monkeypatch.setattr("gradal.model._stack_grad", spy)
+    cfg = small_cfg(scope=scope, minibatch_size=minibatch_size)
+    run_contraction_trace(cfg, blob_data())
+    assert cfg.epochs == 8
+    assert sum(rows) == s_passes * cfg.s_size + s_j_passes * cfg.subset_size
 
 
 def test_trace_divergence_raises():

@@ -295,12 +295,71 @@ def test_train_stack_full_batch_reproduces_contraction_trace():
     seen = []
     stacked, diverged = train_stack(arch, [init.params], [s], [cfg.seed], ds, cfg.learning_rate,
                                     cfg.momentum, 0, cfg.epochs,
-                                    on_epoch=lambda epoch, p: seen.append(discrepancy(p[0])))
+                                    on_epoch=lambda epoch, p, g: seen.append(discrepancy(p[0])))
     report = run_contraction_trace(cfg, ds, sample_indices=s, subset_indices=s_j)
     assert diverged.tolist() == [-1]
     assert np.array_equal(stacked[0], params)
     assert seen == expected
     assert report.df_norms.tolist() == expected
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_train_stack_full_batch_hands_on_the_gradient_at_its_params(momentum):
+    # the callback's grad is the next step's gradient: the mean gradient
+    # over the labeled rows at the callback's params, the last epoch included
+    ds = make_blobs(60, 2, 3, spread=0.7, seed=1)
+    arch = ArchSpec(input_dim=3, n_classes=2, hidden_widths=(8, 5))
+    s = np.arange(40)
+    seen = []
+    train_stack(arch, [init_model(arch, 0).params], [s], [0], ds, 0.01, momentum, 0, 6,
+                on_epoch=lambda epoch, p, g: seen.append((epoch, p[0].copy(), g[0].copy())))
+    assert [epoch for epoch, _, _ in seen] == list(range(6))
+    for _, params, grad in seen:
+        assert np.array_equal(grad, _mean_grad(params, arch, ds.features[s], ds.labels[s]))
+
+
+def test_train_stack_minibatch_hands_on_no_gradient():
+    ds = make_blobs(60, 2, 3, spread=0.7, seed=1)
+    arch = ArchSpec(input_dim=3, n_classes=2, hidden_widths=(8,))
+    seen = []
+    train_stack(arch, [init_model(arch, 0).params], [np.arange(40)], [0], ds, 0.01, 0.5, 8, 3,
+                on_epoch=lambda epoch, p, g: seen.append(g))
+    assert seen == [None, None, None]
+
+
+def _reference_trace(ds, cfg, s, s_j):
+    """A trace's df_norms, written out: per epoch, reshuffled minibatches
+    (one unshuffled full batch at minibatch_size 0), each a momentum step,
+    then the discrepancy at cfg.scope."""
+    arch = ArchSpec(input_dim=ds.n_features, n_classes=ds.n_classes,
+                    hidden_widths=cfg.hidden_widths)
+    params = init_model(arch, seed=derive_seed(cfg.seed, "init")).params.copy()
+    velocity, shuffle, expected = np.zeros(arch.n_params), Rng(cfg.seed, "shuffle"), []
+    step = cfg.minibatch_size or s.size
+    for epoch in range(cfg.epochs):
+        order = (shuffle.derive(f"epoch{epoch}").permutation(s.size) if cfg.minibatch_size
+                 else np.arange(s.size))
+        for start in range(0, s.size, step):
+            batch = s[order[start:start + step]]
+            grad = _mean_grad(params, arch, ds.features[batch], ds.labels[batch])
+            velocity = cfg.momentum * velocity + grad
+            params = params - cfg.learning_rate * velocity
+        model = ModelState(params, arch)
+        expected.append(l2_norm(mean_grad_embedding(model, ds, s, cfg.scope)
+                                - mean_grad_embedding(model, ds, s_j, cfg.scope)))
+    return expected
+
+
+@pytest.mark.parametrize("scope, minibatch_size", [(FULL, 8), (LAST_LAYER, 0)])
+def test_contraction_trace_reproduces_reference_loop(scope, minibatch_size):
+    # minibatch mode and last-layer scope compute mean_grad(S) in the monitor
+    ds = make_blobs(60, 2, 3, spread=0.7, seed=1)
+    cfg = ContractionConfig(s_size=40, subset_fraction=0.25, epochs=6, learning_rate=0.01,
+                            seed=0, scope=scope, hidden_widths=(8,), momentum=0.5,
+                            minibatch_size=minibatch_size)
+    s, s_j = np.arange(40), np.arange(0, 40, 4)
+    report = run_contraction_trace(cfg, ds, sample_indices=s, subset_indices=s_j)
+    assert report.df_norms.tolist() == _reference_trace(ds, cfg, s, s_j)
 
 
 # ---------------------------------------------------------------- gradients
