@@ -88,15 +88,27 @@ def df_scores(model: ModelState, dataset: Dataset, labeled, candidate_indices,
               scope: str = LAST_LAYER) -> np.ndarray:
     """Vectorized df_score over many candidates; the reference statistic is
     computed once (full pass over the labeled set). Candidates are scored one
-    row chunk at a time, so memory is bounded by the chunk, not their count."""
+    256-row chunk at a time in one reused embedding buffer, so memory is
+    bounded by the chunk, not their count. Each chunk takes the operations
+    of ``df_scores_from_embeddings`` in the same order, so the bits agree."""
     labeled = np.asarray(labeled, dtype=np.int64)
     if labeled.size == 0:
         raise ValueError("labeled set must be nonempty")
     candidate_indices = np.asarray(candidate_indices, dtype=np.int64)
     ref = mean_grad_embedding(model, dataset, labeled, scope=scope)
-    chunks = grad_embedding_chunks(model, dataset.features[candidate_indices], scope=scope)
-    return np.concatenate([df_scores_from_embeddings(ref, emb, labeled.size)
-                           for emb in chunks])
+    factor = labeled.size / (labeled.size + 1.0)
+    scores = np.empty(candidate_indices.size)
+    buf = np.empty((min(256, candidate_indices.size), ref.size))
+    start = 0
+    for emb in grad_embedding_chunks(model, dataset.features[candidate_indices],
+                                     scope=scope, out=buf):
+        # np.linalg.norm(emb - ref, axis=1) in place: sqrt(add.reduce(d * d))
+        emb -= ref
+        emb *= emb
+        norms = np.sqrt(np.add.reduce(emb, axis=1))
+        np.multiply(factor, norms, out=scores[start:start + len(emb)])
+        start += len(emb)
+    return scores
 
 
 def _top_b(pool_indices: np.ndarray, scores: np.ndarray, b: int):
@@ -142,7 +154,9 @@ def _factored_sq_dists(a: np.ndarray, b: np.ndarray, sq: np.ndarray, c: int) -> 
     negatives are clipped, and row c and its duplicates are set to exactly 0."""
     d2 = sq + sq[c] - 2.0 * (a @ a[c]) * (b @ b[c])
     np.maximum(d2, 0.0, out=d2)
-    d2[(a == a[c]).all(axis=1) & (b == b[c]).all(axis=1)] = 0.0
+    # only rows within the residue can be duplicates; compare those exactly
+    near = np.flatnonzero(d2 <= 1e-9 * (sq + sq[c]))
+    d2[near[(a[near] == a[c]).all(axis=1) & (b[near] == b[c]).all(axis=1)]] = 0.0
     return d2
 
 
@@ -189,13 +203,20 @@ def select_badge(model: ModelState, dataset: Dataset, pool: PoolState, b: int,
 
 
 def _min_dist_to(points: np.ndarray, centers: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """Euclidean distance from each point to its nearest center."""
+    """Euclidean distance from each point to its nearest center. One
+    (points, chunk) block is live at a time; it takes the operations of
+    p_sq - 2 points @ block.T + c_sq in place (doubling is exact), on the
+    same GEMM shape, so the bits do not depend on how memory is held."""
     p_sq = (points ** 2).sum(axis=1)
     best = np.full(points.shape[0], np.inf)
     for start in range(0, centers.shape[0], chunk):
         block = centers[start:start + chunk]
-        d2 = p_sq[:, None] - 2.0 * points @ block.T + (block ** 2).sum(axis=1)
+        d2 = points @ block.T
+        d2 *= 2.0
+        np.subtract(p_sq[:, None], d2, out=d2)
+        d2 += (block ** 2).sum(axis=1)
         np.minimum(best, d2.min(axis=1), out=best)
+        del d2  # else the next block's GEMM allocates beside this one
     return np.sqrt(np.maximum(best, 0.0))
 
 
@@ -210,12 +231,15 @@ def select_kcenter(model: ModelState, dataset: Dataset, pool: PoolState,
     feats = penultimate(model, dataset.features[pool.unlabeled])
     centers = penultimate(model, dataset.features[pool.labeled])
     min_dist = _min_dist_to(feats, centers)
+    diff = np.empty_like(feats)  # every pick's squared differences, in one buffer
     chosen, chosen_scores = [], []
     for _ in range(min(int(b), pool.unlabeled.size)):
         pick = int(np.argmax(min_dist))
         chosen.append(pick)
         chosen_scores.append(float(min_dist[pick]))
-        d = np.sqrt(np.maximum(((feats - feats[pick]) ** 2).sum(axis=1), 0.0))
+        np.subtract(feats, feats[pick], out=diff)
+        np.square(diff, out=diff)
+        d = np.sqrt(np.maximum(diff.sum(axis=1), 0.0))
         np.minimum(min_dist, d, out=min_dist)
         min_dist[pick] = -1.0  # never re-pick
     return AcquisitionBatch(indices=pool.unlabeled[chosen], method="kcenter", scores=chosen_scores)

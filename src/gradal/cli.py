@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -662,6 +663,8 @@ def cmd_timing(config: dict, out_flag=None) -> int:
             "rounds": rounds,
             "per_method": per_method,
             "entropy_faster_than_grad": ordering,
+            # the process's high-water mark so far (ru_maxrss is in KiB on Linux)
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         },
     }, report="\n".join(report))
 

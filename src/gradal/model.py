@@ -203,14 +203,15 @@ def _mean_grad(params: np.ndarray, arch: ArchSpec, x: np.ndarray, y: np.ndarray)
 
 
 def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
-                learning_rate: float, momentum: float, minibatch_size: int,
+                learning_rate, momentum: float, minibatch_size: int,
                 epochs: int, on_epoch=None):
     """SGD with heavy-ball momentum for a stack of models in lockstep: row m
     starts from params[m] and trains on the dataset rows labeled[m] (one
     count for all rows), reshuffled each epoch from seeds[m]; the last
     minibatch may be short, and minibatch_size 0 takes one full-batch step
-    per epoch. Minibatches are gathered from ``dataset`` by index. Rows share
-    no arithmetic, so a row gets the bits it would get alone. After each
+    per epoch. ``learning_rate`` is one rate for all rows or an (M,) vector,
+    one per row. Minibatches are gathered from ``dataset`` by index. Rows
+    share no arithmetic, so a row gets the bits it would get alone. After each
     epoch, ``on_epoch(epoch, params, grad)`` sees the stack and, in full-batch
     mode, the gradient at it that the next step takes (else None). Returns the
     trained (M, n_params) stack and, per row, the first epoch after which its
@@ -221,6 +222,7 @@ def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
     shuffles = [Rng(seed, "shuffle") for seed in seeds]
     diverged = np.full(len(params), -1)
     n = labeled.shape[1]
+    rates = np.reshape(learning_rate, (-1, 1))
     velocity, grad = np.zeros_like(params), np.empty_like(params)
     w_layers, g_layers = _layers(params, arch), _layers(grad, arch)
     if not minibatch_size:  # one gather, one gradient per step, buffers kept across steps
@@ -237,7 +239,7 @@ def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
                 _stack_grad(w_layers, g_layers, dataset.features[batch], dataset.labels[batch])
             velocity *= momentum
             velocity += grad
-            params -= learning_rate * velocity
+            params -= rates * velocity
         diverged[(diverged < 0) & ~np.isfinite(params).all(axis=1)] = epoch
         if (diverged >= 0).all():
             break
@@ -273,41 +275,53 @@ def last_layer_factors(model: ModelState, features: np.ndarray, labels=None):
     return err, np.concatenate([acts[-1], np.ones((features.shape[0], 1))], axis=1)
 
 
-def _full_embeddings(model: ModelState, x: np.ndarray, y=None) -> np.ndarray:
-    """(n, n_params) per-example full-parameter gradients via backprop;
-    ``y`` None takes each row's pseudo-label from the same forward pass."""
+def _full_embeddings(model: ModelState, x: np.ndarray, y=None, out=None) -> np.ndarray:
+    """(n, n_params) per-example full-parameter gradients via backprop,
+    written into ``out`` when given; ``y`` None takes each row's
+    pseudo-label from the same forward pass."""
     arch = model.arch
     w_layers = _layers(model.params, arch)
     acts, delta = _output_error(w_layers, x, y)
-    out = np.empty((x.shape[0], arch.n_params))
+    if out is None:
+        out = np.empty((x.shape[0], arch.n_params))
     g_layers = _layers(out, arch)
     for i in range(len(w_layers) - 1, -1, -1):
         gw, gb = g_layers[i]
+        # einsum, not multiply: it writes +0.0 where the product is -0.0
         np.einsum("no,ni->noi", delta, acts[i], out=gw)
         gb[:] = delta
         if i > 0:
-            delta = (delta @ w_layers[i][0]) * (acts[i] > 0)
+            delta = delta @ w_layers[i][0]
+            delta *= acts[i] > 0
     return out
 
 
 def grad_embedding_chunks(model: ModelState, features: np.ndarray, labels=None,
-                          scope: str = LAST_LAYER, chunk: int = 256):
+                          scope: str = LAST_LAYER, chunk: int = 256, out=None):
     """Per-example gradient embeddings of the rows of ``features``, yielded
     ``chunk`` rows at a time, so that a caller reducing each block holds at
     most chunk x embedding_dim of them. ``labels`` None scores each row
-    under its pseudo-label (argmax, lowest id on ties)."""
+    under its pseudo-label (argmax, lowest id on ties). Each block is a new
+    array, or, with ``out`` (at least chunk x embedding_dim), a view of
+    out's leading rows that the next block overwrites."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
     starts = range(0, max(features.shape[0], 1), chunk)  # no rows: one empty block
     if scope == LAST_LAYER:
         err, h1 = last_layer_factors(model, features, labels)
+        n_classes, width = err.shape[1], h1.shape[1] - 1
         for i in starts:
             e, h = err[i:i + chunk], h1[i:i + chunk, :-1]
+            emb = np.empty((len(e), n_classes * (width + 1))) if out is None else out[:len(e)]
             # weight rows by class, then the bias block: the flat parameter order
-            yield np.concatenate([np.einsum("nc,nh->nch", e, h).reshape(len(e), -1), e], axis=1)
+            np.einsum("nc,nh->nch", e, h,
+                      out=emb[:, :n_classes * width].reshape(len(e), n_classes, width))
+            emb[:, n_classes * width:] = e
+            yield emb
     elif scope == FULL:
         for i in starts:
             y = None if labels is None else labels[i:i + chunk]
-            yield _full_embeddings(model, features[i:i + chunk], y)
+            x = features[i:i + chunk]
+            yield _full_embeddings(model, x, y, None if out is None else out[:len(x)])
     else:
         raise ValueError(f"unknown scope {scope!r}")
 

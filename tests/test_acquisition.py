@@ -8,6 +8,7 @@ from gradal.acquisition import (
     METHODS,
     AcquisitionBatch,
     _factored_sq_dists,
+    _min_dist_to,
     df_score,
     df_scores,
     df_scores_from_embeddings,
@@ -416,7 +417,95 @@ def test_full_scope_df_scores_memory_is_bounded_by_the_chunk():
     assert peak < 4 * chunk_bytes
 
 
+def test_full_scope_df_scores_holds_one_chunk_of_embeddings():
+    # every chunk is scored in one reused 256-row buffer: one chunk's
+    # embeddings plus the backprop activations and the scores
+    ds = make_blobs(2_100, 4, 20, spread=1.0, seed=1)
+    arch = ArchSpec(input_dim=20, n_classes=4, hidden_widths=(64, 32))
+    model = init_model(arch, 0)
+    chunk_bytes = 256 * arch.n_params * 8
+    tracemalloc.start()
+    try:
+        df_scores(model, ds, np.arange(100), np.arange(100, 2_100), scope=FULL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * chunk_bytes
+
+
 # ------------------------------------------------------------ k-center
+
+def min_dist_reference(points, centers, chunk=256):
+    """``_min_dist_to`` written as one expression per center block."""
+    p_sq = (points ** 2).sum(axis=1)
+    best = np.full(points.shape[0], np.inf)
+    for start in range(0, centers.shape[0], chunk):
+        block = centers[start:start + chunk]
+        d2 = p_sq[:, None] - 2.0 * points @ block.T + (block ** 2).sum(axis=1)
+        np.minimum(best, d2.min(axis=1), out=best)
+    return np.sqrt(np.maximum(best, 0.0))
+
+
+def kcenter_reference(feats, min_dist, b):
+    """Farthest-first picks from ``min_dist``, each pick's distances
+    written as one expression: (rows, scores)."""
+    min_dist = min_dist.copy()
+    rows, scores = [], []
+    for _ in range(min(b, feats.shape[0])):
+        pick = int(np.argmax(min_dist))
+        rows.append(pick)
+        scores.append(float(min_dist[pick]))
+        d = np.sqrt(np.maximum(((feats - feats[pick]) ** 2).sum(axis=1), 0.0))
+        np.minimum(min_dist, d, out=min_dist)
+        min_dist[pick] = -1.0
+    return rows, scores
+
+
+def two_block_kcenter_fixture():
+    """300 labeled centers (a full 256-center block and a 44-center tail)
+    and a 1,200-point pool under a trained net."""
+    ds = make_blobs(1_500, 4, 6, spread=1.0, seed=3)
+    arch = ArchSpec(input_dim=6, n_classes=4, hidden_widths=(16, 8))
+    model = train(init_model(arch, 0), ds, np.arange(300),
+                  TrainConfig(learning_rate=0.01, epochs=2, seed=0))
+    return ds, model, PoolState(np.arange(300), np.arange(300, 1_500))
+
+
+def test_min_dist_to_equals_reference_bitwise_over_two_blocks():
+    ds, model, pool = two_block_kcenter_fixture()
+    feats = penultimate(model, ds.features[pool.unlabeled])
+    centers = penultimate(model, ds.features[pool.labeled])
+    got = _min_dist_to(feats, centers)
+    assert got.tobytes() == min_dist_reference(feats, centers).tobytes()
+
+
+def test_select_kcenter_equals_reference_bitwise_over_two_blocks():
+    ds, model, pool = two_block_kcenter_fixture()
+    feats = penultimate(model, ds.features[pool.unlabeled])
+    centers = penultimate(model, ds.features[pool.labeled])
+    rows, scores = kcenter_reference(feats, min_dist_reference(feats, centers), 40)
+    batch = select_kcenter(model, ds, pool, b=40)
+    assert np.array_equal(batch.indices, pool.unlabeled[rows])
+    assert np.array(batch.scores).tobytes() == np.array(scores).tobytes()
+
+
+def test_select_kcenter_memory_is_one_distance_block():
+    # 500 centers: a 256-center block, then a 244-center one
+    ds = make_blobs(3_500, 3, 4, spread=1.0, seed=2)
+    arch = ArchSpec(input_dim=4, n_classes=3, hidden_widths=(8,))
+    model = init_model(arch, 0)
+    pool = PoolState(np.arange(500), np.arange(500, 3_500))
+    n = pool.unlabeled.size
+    # one (|U|, 256) distance block with slack, plus the pool's forward pass
+    bound = n * 256 * 8 * 1.5 + n * (4 + 8 + 3) * 8
+    tracemalloc.start()
+    try:
+        select_kcenter(model, ds, pool, b=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
 
 def test_kcenter_line_example():
     # penultimate space == input space when there are no hidden layers;

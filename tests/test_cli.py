@@ -732,6 +732,8 @@ def test_timing_outputs(tmp_path, capsys):
         assert entry["mean_seconds"] >= 0.0
         assert entry["sd_seconds"] >= 0.0
     assert payload["entropy_faster_than_grad"] in (True, False)
+    # the process's high-water mark: at least the numpy and Python it loaded
+    assert 10.0 < payload["peak_rss_mb"] < 1e6
 
     stdout = capsys.readouterr().out
     assert "+/-" in stdout

@@ -13,7 +13,6 @@ from gradal.model import (
     ModelState,
     TrainConfig,
     _mean_grad,
-    diverged_error,
     grad_embedding,
     grad_embeddings,
     init_model,
@@ -246,6 +245,21 @@ def test_train_stack_rows_match_separate_train_calls():
     for m in range(4):
         alone = train(inits[m], ds, labeled[m], replace(cfg, seed=seeds[m]))
         assert np.array_equal(params[m], alone.params), m
+
+
+@pytest.mark.parametrize("minibatch_size", [4, 0])
+def test_train_stack_per_row_rates_match_separate_train_calls(minibatch_size):
+    ds = tiny_dataset(n=60)
+    arch = tiny_arch()
+    init, labeled = init_model(arch, 3), np.arange(0, 60, 3)
+    rates = [0.3, 0.05, 0.001]
+    params, diverged = train_stack(arch, [init.params] * 3, [labeled] * 3, [9] * 3, ds,
+                                   np.array(rates), 0.9, minibatch_size, 5)
+    assert diverged.tolist() == [-1, -1, -1]
+    for m, rate in enumerate(rates):
+        alone, _ = train_stack(arch, [init.params], [labeled], [9], ds, rate, 0.9,
+                               minibatch_size, 5)
+        assert np.array_equal(params[m], alone[0]), rate
 
 
 def test_train_stack_diverging_row_leaves_other_rows_unchanged():
@@ -513,21 +527,20 @@ def test_sweep_prefers_smaller_rate_on_tie(monkeypatch):
 
 
 def _diverging_from(limit):
-    """A stand-in for ``train`` that diverges at rates >= ``limit`` and
-    otherwise returns the rate as the fitted model."""
-    def fake_train(model, dataset, indices, cfg):
-        if cfg.learning_rate >= limit:
-            raise diverged_error(1, cfg.learning_rate)
-        return cfg.learning_rate
-    return fake_train
+    """A stand-in for ``train_stack`` whose rows diverge at epoch 1 at rates
+    >= ``limit``; every row's params are filled with the row's rate."""
+    def fake_train_stack(arch, params, labeled, seeds, dataset, learning_rate, *rest):
+        rates = np.asarray(learning_rate)
+        return np.repeat(rates[:, None], arch.n_params, axis=1), np.where(rates >= limit, 1, -1)
+    return fake_train_stack
 
 
 def test_sweep_skips_diverging_rates(monkeypatch):
     import gradal.al_loop as al_loop
 
-    monkeypatch.setattr(al_loop, "train", _diverging_from(0.005))
+    monkeypatch.setattr(al_loop, "train_stack", _diverging_from(0.005))
     # accuracy grows with the rate, so the largest rate that trained wins
-    monkeypatch.setattr(al_loop, "evaluate_accuracy", lambda rate, dataset, test: rate)
+    monkeypatch.setattr(al_loop, "evaluate_accuracy", lambda model, dataset, test: model.params[0])
     rate = al_loop.sweep_learning_rate(
         tiny_arch(), tiny_dataset(), np.arange(20), np.arange(20, 30),
         TrainConfig(learning_rate=0.01, epochs=1), seed=0)
@@ -537,13 +550,39 @@ def test_sweep_skips_diverging_rates(monkeypatch):
 def test_sweep_raises_naming_every_rate_when_all_diverge(monkeypatch):
     import gradal.al_loop as al_loop
 
-    monkeypatch.setattr(al_loop, "train", _diverging_from(0.0))
+    monkeypatch.setattr(al_loop, "train_stack", _diverging_from(0.0))
     with pytest.raises(ArithmeticError) as caught:
         al_loop.sweep_learning_rate(
             tiny_arch(), tiny_dataset(), np.arange(20), np.arange(20, 30),
             TrainConfig(learning_rate=0.01, epochs=1), seed=0)
     for rate in al_loop.SWEEP_RATES:
         assert f"at learning rate {rate:g}" in str(caught.value)
+
+
+def test_sweep_accuracies_and_winner_match_a_loop_over_rates(monkeypatch):
+    import gradal.al_loop as al_loop
+
+    ds = make_blobs(200, 3, 4, spread=0.5, seed=4)
+    arch = ArchSpec(input_dim=4, n_classes=3, hidden_widths=(8,))
+    base = TrainConfig(learning_rate=0.01, epochs=10, seed=0)
+    tr, va = np.arange(100), np.arange(100, 200)
+    real, seen = al_loop.evaluate_accuracy, []
+
+    def spy(model, dataset, test):
+        seen.append((model.params.copy(), real(model, dataset, test)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(al_loop, "evaluate_accuracy", spy)
+    rate = al_loop.sweep_learning_rate(arch, ds, tr, va, base, seed=1)
+
+    # the per-rate loop the stack replaced: one train call per rate
+    accs = []
+    for r, (params, acc) in zip(al_loop.SWEEP_RATES, seen, strict=True):
+        alone = train(init_model(arch, seed=1), ds, tr, replace(base, learning_rate=r, seed=1))
+        assert np.array_equal(params, alone.params), r
+        assert acc == real(alone, ds, va), r
+        accs.append(acc)
+    assert rate == al_loop.SWEEP_RATES[int(np.argmax(accs))]
 
 
 def test_sweep_picks_argmax_rate():
