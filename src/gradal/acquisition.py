@@ -16,6 +16,7 @@ import numpy as np
 
 from .data import Dataset, PoolState
 from .model import (
+    CHUNK_ROWS,
     LAST_LAYER,
     ModelState,
     grad_embedding,
@@ -88,7 +89,7 @@ def df_scores(model: ModelState, dataset: Dataset, labeled, candidate_indices,
               scope: str = LAST_LAYER) -> np.ndarray:
     """Vectorized df_score over many candidates; the reference statistic is
     computed once (full pass over the labeled set). Candidates are scored one
-    256-row chunk at a time in one reused embedding buffer, so memory is
+    CHUNK_ROWS-row chunk at a time in one reused embedding buffer, so memory is
     bounded by the chunk, not their count. Each chunk takes the operations
     of ``df_scores_from_embeddings`` in the same order, so the bits agree."""
     labeled = np.asarray(labeled, dtype=np.int64)
@@ -98,7 +99,7 @@ def df_scores(model: ModelState, dataset: Dataset, labeled, candidate_indices,
     ref = mean_grad_embedding(model, dataset, labeled, scope=scope)
     factor = labeled.size / (labeled.size + 1.0)
     scores = np.empty(candidate_indices.size)
-    buf = np.empty((min(256, candidate_indices.size), ref.size))
+    buf = np.empty((min(CHUNK_ROWS, candidate_indices.size), ref.size))
     start = 0
     for emb in grad_embedding_chunks(model, dataset.features[candidate_indices],
                                      scope=scope, out=buf):
@@ -202,15 +203,15 @@ def select_badge(model: ModelState, dataset: Dataset, pool: PoolState, b: int,
     return AcquisitionBatch(indices=pool.unlabeled[rows], method="badge", scores=None)
 
 
-def _min_dist_to(points: np.ndarray, centers: np.ndarray, chunk: int = 256) -> np.ndarray:
+def _min_dist_to(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to its nearest center. One
-    (points, chunk) block is live at a time; it takes the operations of
+    (points, CHUNK_ROWS) block is live at a time; it takes the operations of
     p_sq - 2 points @ block.T + c_sq in place (doubling is exact), on the
     same GEMM shape, so the bits do not depend on how memory is held."""
     p_sq = (points ** 2).sum(axis=1)
     best = np.full(points.shape[0], np.inf)
-    for start in range(0, centers.shape[0], chunk):
-        block = centers[start:start + chunk]
+    for start in range(0, centers.shape[0], CHUNK_ROWS):
+        block = centers[start:start + CHUNK_ROWS]
         d2 = points @ block.T
         d2 *= 2.0
         np.subtract(p_sq[:, None], d2, out=d2)

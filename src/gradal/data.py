@@ -225,22 +225,18 @@ def split(dataset: Dataset, spec: SplitSpec):
     sample per class. Deterministic in ``spec.seed``.
     """
     rng = Rng(spec.seed, "split")
-    train, val, test = [], [], []
-    if spec.stratified:
-        for c in range(dataset.n_classes):
-            idx = np.flatnonzero(dataset.labels == c)
-            if idx.size < 2:
-                raise ValueError(f"class {c} has fewer than 2 samples; cannot stratify")
-            perm = idx[rng.derive(f"class{c}").permutation(idx.size)]
-            n_test = int(spec.test_fraction * idx.size + 0.5)
-            n_val = int(spec.validation_fraction * idx.size + 0.5)
-            test.append(perm[:n_test])
-            val.append(perm[n_test:n_test + n_val])
-            train.append(perm[n_test + n_val:])
+    if spec.stratified:  # one group per class, under its own RNG label
+        groups = [(f"class{c}", np.flatnonzero(dataset.labels == c)) for c in range(dataset.n_classes)]
+        small = [c for c, (_, idx) in enumerate(groups) if idx.size < 2]
+        if small:
+            raise ValueError(f"class {small[0]} has fewer than 2 samples; cannot stratify")
     else:
-        perm = rng.derive("all").permutation(dataset.n_samples)
-        n_test = int(spec.test_fraction * dataset.n_samples + 0.5)
-        n_val = int(spec.validation_fraction * dataset.n_samples + 0.5)
+        groups = [("all", np.arange(dataset.n_samples))]
+    train, val, test = [], [], []
+    for name, idx in groups:
+        perm = idx[rng.derive(name).permutation(idx.size)]
+        n_test = int(spec.test_fraction * idx.size + 0.5)
+        n_val = int(spec.validation_fraction * idx.size + 0.5)
         test.append(perm[:n_test])
         val.append(perm[n_test:n_test + n_val])
         train.append(perm[n_test + n_val:])

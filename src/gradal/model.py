@@ -1,5 +1,5 @@
 """From-scratch ReLU MLP: SGD training, softmax probabilities, and exact
-per-example gradient embeddings (closed-form last layer, hand backprop full).
+per-example gradient embeddings, all from one backprop loop (``_backward``).
 
 Parameters live in one flat float64 vector laid out layer by layer as
 ``[W_0.ravel(), b_0, W_1.ravel(), b_1, ...]`` with each weight matrix shaped
@@ -18,6 +18,7 @@ from .numerics import Rng
 LAST_LAYER = "last_layer"
 FULL = "full"
 SCOPES = (LAST_LAYER, FULL)
+CHUNK_ROWS = 256  # rows per streamed block (embeddings, k-center distances); fixes GEMM bits
 
 
 @dataclass(frozen=True)
@@ -179,19 +180,27 @@ def diverged_error(epoch: int, learning_rate: float) -> ArithmeticError:
                            f"at learning rate {learning_rate:g}")
 
 
+def _backward(w_layers, acts, delta, stop: int = 0, bufs=None):
+    """Yield (i, delta_i, acts[i]) from the last layer (delta_i = delta) down
+    to layer ``stop``: layer i's weight gradient is delta_i (x) acts[i]. The
+    next delta, ReLU-masked delta_i @ W_i, goes into bufs[i - 1][1] if given."""
+    for i in range(len(w_layers) - 1, stop - 1, -1):
+        yield i, delta, acts[i]
+        if i > stop:
+            delta = np.matmul(delta, w_layers[i][0], out=None if bufs is None else bufs[i - 1][1])
+            delta *= acts[i] > 0
+
+
 def _stack_grad(w_layers, g_layers, x: np.ndarray, y: np.ndarray, bufs=None):
     """Write into the views ``g_layers`` the gradient of the mean
     cross-entropy over (x[m], y[m]) at stack row m's parameters ``w_layers``;
     hidden layer i's activations and deltas go into bufs[i][0] and bufs[i][1]."""
     acts, delta = _output_error(w_layers, x, y, bufs)
     delta /= x.shape[-2]
-    for i in range(len(w_layers) - 1, -1, -1):
+    for i, delta, a in _backward(w_layers, acts, delta, bufs=bufs):
         gw, gb = g_layers[i]
-        np.matmul(np.swapaxes(delta, -1, -2), acts[i], out=gw)
+        np.matmul(np.swapaxes(delta, -1, -2), a, out=gw)
         np.sum(delta, axis=-2, out=gb)
-        if i > 0:
-            delta = np.matmul(delta, w_layers[i][0], out=None if bufs is None else bufs[i - 1][1])
-            delta *= acts[i] > 0
 
 
 def _mean_grad(params: np.ndarray, arch: ArchSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -265,80 +274,74 @@ def train(model: ModelState, dataset: Dataset, indices, cfg: TrainConfig) -> Mod
     return ModelState(params=params[0], arch=model.arch)
 
 
+def _checked_labels(labels, n_classes: int):
+    """``labels`` as an array (None stays None); a label outside
+    [0, n_classes), which one-hot indexing would wrap or reject, raises."""
+    if labels is not None:
+        labels = np.asarray(labels)
+        bad = labels[(labels < 0) | (labels >= n_classes)]
+        if bad.size:
+            raise ValueError(f"label {bad[0]} out of range for {n_classes} classes")
+    return labels
+
+
 def last_layer_factors(model: ModelState, features: np.ndarray, labels=None):
     """One forward pass to the factor pair ``(err, h1)`` of last-layer
     gradients: row i's gradient is the outer product of err_i = softmax_i -
     onehot(y_i) with h1_i = [penultimate_i, 1]. ``labels`` None takes each
     row's pseudo-label from the same softmax (argmax, lowest id on ties)."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
+    labels = _checked_labels(labels, model.arch.n_classes)
     acts, err = _output_error(_layers(model.params, model.arch), features, labels)
     return err, np.concatenate([acts[-1], np.ones((features.shape[0], 1))], axis=1)
 
 
-def _full_embeddings(model: ModelState, x: np.ndarray, y=None, out=None) -> np.ndarray:
-    """(n, n_params) per-example full-parameter gradients via backprop,
-    written into ``out`` when given; ``y`` None takes each row's
-    pseudo-label from the same forward pass."""
-    arch = model.arch
-    w_layers = _layers(model.params, arch)
-    acts, delta = _output_error(w_layers, x, y)
-    if out is None:
-        out = np.empty((x.shape[0], arch.n_params))
-    g_layers = _layers(out, arch)
-    for i in range(len(w_layers) - 1, -1, -1):
-        gw, gb = g_layers[i]
-        # einsum, not multiply: it writes +0.0 where the product is -0.0
-        np.einsum("no,ni->noi", delta, acts[i], out=gw)
-        gb[:] = delta
-        if i > 0:
-            delta = delta @ w_layers[i][0]
-            delta *= acts[i] > 0
-    return out
-
-
 def grad_embedding_chunks(model: ModelState, features: np.ndarray, labels=None,
-                          scope: str = LAST_LAYER, chunk: int = 256, out=None):
+                          scope: str = LAST_LAYER, out=None):
     """Per-example gradient embeddings of the rows of ``features``, yielded
-    ``chunk`` rows at a time, so that a caller reducing each block holds at
-    most chunk x embedding_dim of them. ``labels`` None scores each row
+    CHUNK_ROWS rows at a time, so that a caller reducing each block holds at
+    most CHUNK_ROWS x embedding_dim of them. ``labels`` None scores each row
     under its pseudo-label (argmax, lowest id on ties). Each block is a new
-    array, or, with ``out`` (at least chunk x embedding_dim), a view of
+    array, or, with ``out`` (at least CHUNK_ROWS x embedding_dim), a view of
     out's leading rows that the next block overwrites."""
+    arch = model.arch
+    dim = arch.embedding_dim(scope)
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    starts = range(0, max(features.shape[0], 1), chunk)  # no rows: one empty block
-    if scope == LAST_LAYER:
-        err, h1 = last_layer_factors(model, features, labels)
-        n_classes, width = err.shape[1], h1.shape[1] - 1
-        for i in starts:
-            e, h = err[i:i + chunk], h1[i:i + chunk, :-1]
-            emb = np.empty((len(e), n_classes * (width + 1))) if out is None else out[:len(e)]
-            # weight rows by class, then the bias block: the flat parameter order
-            np.einsum("nc,nh->nch", e, h,
-                      out=emb[:, :n_classes * width].reshape(len(e), n_classes, width))
-            emb[:, n_classes * width:] = e
+    labels = _checked_labels(labels, arch.n_classes)
+    w_layers = _layers(model.params, arch)
+    # the embedded layers as a net of their own: the last layer alone at last-layer scope
+    first = len(w_layers) - 1 if scope == LAST_LAYER else 0
+    embedded = ArchSpec(arch.layer_sizes[first], arch.n_classes, arch.hidden_widths[first:])
+    # forward over all rows at last-layer scope, per chunk at full scope: OpenBLAS's
+    # per-row results depend on the GEMM's row count, so moving either changes bits
+    n = max(features.shape[0], 1)  # no rows: one empty block
+    span = n if scope == LAST_LAYER else CHUNK_ROWS
+    for start in range(0, n, span):
+        rows = slice(start, start + span)
+        acts, err = _output_error(w_layers, features[rows], None if labels is None else labels[rows])
+        for c in range(0, max(len(err), 1), CHUNK_ROWS):
+            block = slice(c, c + CHUNK_ROWS)
+            emb = np.empty((len(err[block]), dim)) if out is None else out[:len(err[block])]
+            g_layers = _layers(emb, embedded)
+            for i, delta, a in _backward(w_layers, [act[block] for act in acts], err[block], first):
+                gw, gb = g_layers[i - first]
+                # einsum, not multiply: it writes +0.0 where the product is -0.0
+                np.einsum("no,ni->noi", delta, a, out=gw)
+                gb[:] = delta
             yield emb
-    elif scope == FULL:
-        for i in starts:
-            y = None if labels is None else labels[i:i + chunk]
-            x = features[i:i + chunk]
-            yield _full_embeddings(model, x, y, None if out is None else out[:len(x)])
-    else:
-        raise ValueError(f"unknown scope {scope!r}")
 
 
 def grad_embeddings(model: ModelState, features: np.ndarray, labels=None,
-                    scope: str = LAST_LAYER, chunk: int = 256) -> np.ndarray:
+                    scope: str = LAST_LAYER) -> np.ndarray:
     """Per-example gradient embeddings for rows of ``features`` under the
     given labels (None: each row's pseudo-label), one embedding per row."""
-    return np.concatenate(list(grad_embedding_chunks(model, features, labels, scope, chunk)))
+    return np.concatenate(list(grad_embedding_chunks(model, features, labels, scope)))
 
 
 def grad_embedding(model: ModelState, x: np.ndarray, y: int,
                    scope: str = LAST_LAYER) -> np.ndarray:
     """Gradient embedding of a single (x, y) example."""
-    if not 0 <= int(y) < model.arch.n_classes:
-        raise ValueError(f"label {y} out of range")
-    return grad_embeddings(model, np.atleast_2d(x), np.array([int(y)]), scope=scope)[0]
+    return grad_embeddings(model, np.atleast_2d(x), [int(y)], scope=scope)[0]
 
 
 def mean_grad_embedding(model: ModelState, dataset: Dataset, indices,
@@ -348,8 +351,7 @@ def mean_grad_embedding(model: ModelState, dataset: Dataset, indices,
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         raise ValueError("indices must be nonempty")
-    x = dataset.features[indices]
-    y = dataset.labels[indices]
+    x, y = dataset.features[indices], dataset.labels[indices]
     if scope == LAST_LAYER:
         err, h1 = last_layer_factors(model, x, y)
         w_block = (err.T @ h1[:, :-1]) / indices.size

@@ -12,10 +12,15 @@ from gradal.model import (
     ArchSpec,
     ModelState,
     TrainConfig,
+    _layers,
     _mean_grad,
+    _output_error,
+    _stack_grad,
     grad_embedding,
+    grad_embedding_chunks,
     grad_embeddings,
     init_model,
+    last_layer_factors,
     loss_mean,
     mean_grad_embedding,
     penultimate,
@@ -444,14 +449,16 @@ def test_last_layer_is_trailing_slice_of_full():
     full = grad_embeddings(m, x, y, scope=FULL)
     last = grad_embeddings(m, x, y, scope=LAST_LAYER)
     n_last = last.shape[1]
-    assert np.allclose(full[:, -n_last:], last, atol=1e-12)
+    assert np.array_equal(full[:, -n_last:], last)
 
 
-def test_grad_embeddings_chunking_consistent():
+def test_grad_embeddings_chunking_consistent(monkeypatch):
     ds = tiny_dataset(n=30)
     m = init_model(tiny_arch(), 5)
-    a = grad_embeddings(m, ds.features, ds.labels, scope=FULL, chunk=7)
-    b = grad_embeddings(m, ds.features, ds.labels, scope=FULL, chunk=1000)
+    monkeypatch.setattr("gradal.model.CHUNK_ROWS", 7)
+    a = grad_embeddings(m, ds.features, ds.labels, scope=FULL)
+    monkeypatch.setattr("gradal.model.CHUNK_ROWS", 1000)
+    b = grad_embeddings(m, ds.features, ds.labels, scope=FULL)
     assert np.array_equal(a, b)
 
 
@@ -459,6 +466,93 @@ def test_grad_embedding_label_out_of_range():
     m = init_model(tiny_arch(), 0)
     with pytest.raises(ValueError):
         grad_embedding(m, np.zeros(4), 3)
+
+
+@pytest.mark.parametrize("scope", [LAST_LAYER, FULL])
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_out_of_range_labels_raise_naming_the_label(scope, bad):
+    # -1 would wrap to the last class in the one-hot lookup, 3 overrun it
+    m = init_model(tiny_arch(c=3), 0)
+    with pytest.raises(ValueError, match=f"label {bad} out of range"):
+        grad_embeddings(m, np.zeros((2, 4)), [bad, 0], scope=scope)
+    with pytest.raises(ValueError, match=f"label {bad} out of range"):
+        last_layer_factors(m, np.zeros((2, 4)), [0, bad])
+
+
+def _reference_full_embeddings(model, x, y=None):
+    """Per-example full-parameter gradients, backprop written out."""
+    w_layers = _layers(model.params, model.arch)
+    acts, delta = _output_error(w_layers, x, y)
+    out = np.empty((x.shape[0], model.arch.n_params))
+    g_layers = _layers(out, model.arch)
+    for i in range(len(w_layers) - 1, -1, -1):
+        gw, gb = g_layers[i]
+        np.einsum("no,ni->noi", delta, acts[i], out=gw)
+        gb[:] = delta
+        if i > 0:
+            delta = delta @ w_layers[i][0]
+            delta *= acts[i] > 0
+    return out
+
+
+def _reference_embeddings(model, x, y, scope, chunk=256):
+    """Embeddings as separate code paths compute them: at last-layer scope
+    the closed form from one forward pass over all rows, at full scope
+    backprop per chunk of rows."""
+    if scope == FULL:
+        return np.concatenate([
+            _reference_full_embeddings(model, x[i:i + chunk], None if y is None else y[i:i + chunk])
+            for i in range(0, len(x), chunk)])
+    err, h1 = last_layer_factors(model, x, y)
+    n_classes, width = err.shape[1], h1.shape[1] - 1
+    emb = np.empty((len(x), n_classes * (width + 1)))
+    np.einsum("nc,nh->nch", err, h1[:, :-1],
+              out=emb[:, :n_classes * width].reshape(len(x), n_classes, width))
+    emb[:, n_classes * width:] = err
+    return emb
+
+
+@pytest.mark.parametrize("scope", [LAST_LAYER, FULL])
+@pytest.mark.parametrize("labeled", [False, True])
+def test_grad_embeddings_equal_reference_bitwise(scope, labeled):
+    # 300 rows: two chunks, so the forward pass's row count matters
+    ds = make_blobs(300, 10, 20, spread=1.0, seed=3)
+    arch = ArchSpec(input_dim=20, n_classes=10, hidden_widths=(128, 64))
+    m = train(init_model(arch, 7), ds, np.arange(40), TrainConfig(learning_rate=0.05, epochs=3))
+    y = ds.labels if labeled else None
+    expected = _reference_embeddings(m, ds.features, y, scope)
+    assert np.array_equal(grad_embeddings(m, ds.features, y, scope=scope), expected)
+    buf = np.empty((256, arch.embedding_dim(scope)))
+    blocks = [emb.copy() for emb in grad_embedding_chunks(m, ds.features, y, scope, out=buf)]
+    assert [len(b) for b in blocks] == [256, 44]
+    assert np.array_equal(np.concatenate(blocks), expected)
+
+
+def _reference_stack_grad(w_layers, g_layers, x, y):
+    """The stacked mean gradient, backprop written out."""
+    acts, delta = _output_error(w_layers, x, y)
+    delta /= x.shape[-2]
+    for i in range(len(w_layers) - 1, -1, -1):
+        gw, gb = g_layers[i]
+        np.matmul(np.swapaxes(delta, -1, -2), acts[i], out=gw)
+        np.sum(delta, axis=-2, out=gb)
+        if i > 0:
+            delta = np.matmul(delta, w_layers[i][0])
+            delta *= acts[i] > 0
+
+
+@pytest.mark.parametrize("with_bufs", [False, True])
+def test_stack_grad_equals_reference_bitwise(with_bufs):
+    ds = make_blobs(120, 4, 10, spread=1.0, seed=2)
+    arch = ArchSpec(input_dim=10, n_classes=4, hidden_widths=(64, 32))
+    params = np.stack([init_model(arch, seed).params for seed in range(3)])
+    rows = np.stack([np.arange(0, 40), np.arange(40, 80), np.arange(80, 120)])
+    x, y = ds.features[rows], ds.labels[rows]
+    expected, got = np.empty_like(params), np.empty_like(params)
+    _reference_stack_grad(_layers(params, arch), _layers(expected, arch), x, y)
+    bufs = [np.empty((2, 3, 40, w)) for w in arch.hidden_widths] if with_bufs else None
+    _stack_grad(_layers(params, arch), _layers(got, arch), x, y, bufs)
+    assert np.array_equal(got, expected)
 
 
 def test_mean_grad_embedding_singleton():
