@@ -20,7 +20,8 @@ from .model import (
     LAST_LAYER,
     ModelState,
     grad_embedding,
-    grad_embedding_chunks,
+    grad_embeddings,
+    grad_products,
     last_layer_factors,
     mean_grad_embedding,
     penultimate,
@@ -87,28 +88,29 @@ def df_score(model: ModelState, dataset: Dataset, labeled, x_index: int,
 
 def df_scores(model: ModelState, dataset: Dataset, labeled, candidate_indices,
               scope: str = LAST_LAYER) -> np.ndarray:
-    """Vectorized df_score over many candidates; the reference statistic is
-    computed once (full pass over the labeled set). Candidates are scored one
-    CHUNK_ROWS-row chunk at a time in one reused embedding buffer, so memory is
-    bounded by the chunk, not their count. Each chunk takes the operations
-    of ``df_scores_from_embeddings`` in the same order, so the bits agree."""
+    """Vectorized df_score over many candidates, the reference mean computed
+    once. Squared distances come from ``grad_products``, CHUNK_ROWS candidates
+    at a time, so no per-example gradient is formed. Near 0 they cancel to a
+    residue of order eps ||g||^2: as in ``_factored_sq_dists``, negatives are
+    clipped and rows within it are rescored exactly from their embeddings."""
     labeled = np.asarray(labeled, dtype=np.int64)
     if labeled.size == 0:
         raise ValueError("labeled set must be nonempty")
     candidate_indices = np.asarray(candidate_indices, dtype=np.int64)
     ref = mean_grad_embedding(model, dataset, labeled, scope=scope)
+    ref_sq = ref @ ref
     factor = labeled.size / (labeled.size + 1.0)
     scores = np.empty(candidate_indices.size)
-    buf = np.empty((min(CHUNK_ROWS, candidate_indices.size), ref.size))
-    start = 0
-    for emb in grad_embedding_chunks(model, dataset.features[candidate_indices],
-                                     scope=scope, out=buf):
-        # np.linalg.norm(emb - ref, axis=1) in place: sqrt(add.reduce(d * d))
-        emb -= ref
-        emb *= emb
-        norms = np.sqrt(np.add.reduce(emb, axis=1))
-        np.multiply(factor, norms, out=scores[start:start + len(emb)])
-        start += len(emb)
+    for start in range(0, candidate_indices.size, CHUNK_ROWS):
+        x = dataset.features[candidate_indices[start:start + CHUNK_ROWS]]
+        sq, dot = grad_products(model, x, ref, scope)
+        d2 = np.maximum(sq - 2.0 * dot + ref_sq, 0.0)
+        near = np.flatnonzero(d2 <= 1e-9 * (sq + ref_sq))
+        chunk = scores[start:start + len(x)]
+        np.multiply(factor, np.sqrt(d2), out=chunk)
+        if near.size:
+            chunk[near] = df_scores_from_embeddings(
+                ref, grad_embeddings(model, x[near], scope=scope), labeled.size)
     return scores
 
 

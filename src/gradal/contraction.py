@@ -133,10 +133,10 @@ def run_contraction_trace(cfg: ContractionConfig, dataset: Dataset,
 
     def monitor(epoch, params, grad):
         snapshot = ModelState(params=params[0], arch=arch)
-        # a full-batch step's gradient over S at these params is mean_grad(S)
-        g_s = (grad[0] if grad is not None and cfg.scope == FULL
-               else mean_grad_embedding(snapshot, dataset, s, scope=cfg.scope))
         g_sj = mean_grad_embedding(snapshot, dataset, s_j, scope=cfg.scope)
+        # a full-batch step's gradient over S is mean_grad(S); the scope's part trails
+        g_s = (grad[0][-g_sj.size:] if grad is not None
+               else mean_grad_embedding(snapshot, dataset, s, scope=cfg.scope))
         df_norms[epoch] = l2_norm(g_s - g_sj)
 
     init = init_model(arch, seed=derive_seed(cfg.seed, "init")).params

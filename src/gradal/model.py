@@ -191,23 +191,35 @@ def _backward(w_layers, acts, delta, stop: int = 0, bufs=None):
             delta *= acts[i] > 0
 
 
-def _stack_grad(w_layers, g_layers, x: np.ndarray, y: np.ndarray, bufs=None):
+def _stack_grad(w_layers, g_layers, x: np.ndarray, y: np.ndarray, bufs=None, stop: int = 0):
     """Write into the views ``g_layers`` the gradient of the mean
-    cross-entropy over (x[m], y[m]) at stack row m's parameters ``w_layers``;
+    cross-entropy over (x[m], y[m]) at stack row m's parameters ``w_layers``,
+    with respect to layers ``stop`` and up (layer i into g_layers[i - stop]);
     hidden layer i's activations and deltas go into bufs[i][0] and bufs[i][1]."""
     acts, delta = _output_error(w_layers, x, y, bufs)
     delta /= x.shape[-2]
-    for i, delta, a in _backward(w_layers, acts, delta, bufs=bufs):
-        gw, gb = g_layers[i]
+    for i, delta, a in _backward(w_layers, acts, delta, stop, bufs):
+        gw, gb = g_layers[i - stop]
         np.matmul(np.swapaxes(delta, -1, -2), a, out=gw)
         np.sum(delta, axis=-2, out=gb)
 
 
-def _mean_grad(params: np.ndarray, arch: ArchSpec, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the mean cross-entropy over (x, y), flat layout: the
-    one-row case of ``_stack_grad``."""
-    grad = np.empty((1, arch.n_params))
-    _stack_grad(_layers(params[None], arch), _layers(grad, arch), x[None], y[None])
+def _scoped(arch: ArchSpec, scope: str):
+    """(first embedded layer, the embedded layers as a net of their own): the
+    last layer alone at last-layer scope, every layer at full scope."""
+    if scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r}")
+    first = len(arch.hidden_widths) if scope == LAST_LAYER else 0
+    return first, ArchSpec(arch.layer_sizes[first], arch.n_classes, arch.hidden_widths[first:])
+
+
+def _mean_grad(params: np.ndarray, arch: ArchSpec, x: np.ndarray, y: np.ndarray,
+               scope: str = FULL) -> np.ndarray:
+    """Gradient of the mean cross-entropy over (x, y) restricted to the
+    scope, flat layout: the one-row case of ``_stack_grad``."""
+    first, embedded = _scoped(arch, scope)
+    grad = np.empty((1, embedded.n_params))
+    _stack_grad(_layers(params[None], arch), _layers(grad, embedded), x[None], y[None], None, first)
     return grad[0]
 
 
@@ -296,46 +308,32 @@ def last_layer_factors(model: ModelState, features: np.ndarray, labels=None):
     return err, np.concatenate([acts[-1], np.ones((features.shape[0], 1))], axis=1)
 
 
-def grad_embedding_chunks(model: ModelState, features: np.ndarray, labels=None,
-                          scope: str = LAST_LAYER, out=None):
-    """Per-example gradient embeddings of the rows of ``features``, yielded
-    CHUNK_ROWS rows at a time, so that a caller reducing each block holds at
-    most CHUNK_ROWS x embedding_dim of them. ``labels`` None scores each row
-    under its pseudo-label (argmax, lowest id on ties). Each block is a new
-    array, or, with ``out`` (at least CHUNK_ROWS x embedding_dim), a view of
-    out's leading rows that the next block overwrites."""
+def grad_embeddings(model: ModelState, features: np.ndarray, labels=None,
+                    scope: str = LAST_LAYER) -> np.ndarray:
+    """Per-example gradient embeddings for rows of ``features`` under the
+    given labels (None: each row's pseudo-label, argmax, lowest id on ties),
+    one embedding per row, written CHUNK_ROWS rows at a time."""
     arch = model.arch
-    dim = arch.embedding_dim(scope)
+    first, embedded = _scoped(arch, scope)
     features = np.atleast_2d(np.asarray(features, dtype=float))
     labels = _checked_labels(labels, arch.n_classes)
     w_layers = _layers(model.params, arch)
-    # the embedded layers as a net of their own: the last layer alone at last-layer scope
-    first = len(w_layers) - 1 if scope == LAST_LAYER else 0
-    embedded = ArchSpec(arch.layer_sizes[first], arch.n_classes, arch.hidden_widths[first:])
+    out = np.empty((features.shape[0], embedded.n_params))
     # forward over all rows at last-layer scope, per chunk at full scope: OpenBLAS's
     # per-row results depend on the GEMM's row count, so moving either changes bits
-    n = max(features.shape[0], 1)  # no rows: one empty block
-    span = n if scope == LAST_LAYER else CHUNK_ROWS
-    for start in range(0, n, span):
+    span = max(features.shape[0], 1) if scope == LAST_LAYER else CHUNK_ROWS
+    for start in range(0, features.shape[0], span):
         rows = slice(start, start + span)
         acts, err = _output_error(w_layers, features[rows], None if labels is None else labels[rows])
-        for c in range(0, max(len(err), 1), CHUNK_ROWS):
+        for c in range(0, len(err), CHUNK_ROWS):
             block = slice(c, c + CHUNK_ROWS)
-            emb = np.empty((len(err[block]), dim)) if out is None else out[:len(err[block])]
-            g_layers = _layers(emb, embedded)
+            g_layers = _layers(out[start + c:start + c + len(err[block])], embedded)
             for i, delta, a in _backward(w_layers, [act[block] for act in acts], err[block], first):
                 gw, gb = g_layers[i - first]
                 # einsum, not multiply: it writes +0.0 where the product is -0.0
                 np.einsum("no,ni->noi", delta, a, out=gw)
                 gb[:] = delta
-            yield emb
-
-
-def grad_embeddings(model: ModelState, features: np.ndarray, labels=None,
-                    scope: str = LAST_LAYER) -> np.ndarray:
-    """Per-example gradient embeddings for rows of ``features`` under the
-    given labels (None: each row's pseudo-label), one embedding per row."""
-    return np.concatenate(list(grad_embedding_chunks(model, features, labels, scope)))
+    return out
 
 
 def grad_embedding(model: ModelState, x: np.ndarray, y: int,
@@ -347,16 +345,32 @@ def grad_embedding(model: ModelState, x: np.ndarray, y: int,
 def mean_grad_embedding(model: ModelState, dataset: Dataset, indices,
                         scope: str = LAST_LAYER) -> np.ndarray:
     """Arithmetic mean of per-example embeddings over an index set; equals
-    the gradient of ``loss_mean`` restricted to the scope."""
+    the gradient of ``loss_mean`` restricted to the scope, and at last-layer
+    scope is bitwise the trailing slice of the full-scope mean."""
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         raise ValueError("indices must be nonempty")
-    x, y = dataset.features[indices], dataset.labels[indices]
-    if scope == LAST_LAYER:
-        err, h1 = last_layer_factors(model, x, y)
-        w_block = (err.T @ h1[:, :-1]) / indices.size
-        return np.concatenate([w_block.ravel(), err.mean(axis=0)])
-    if scope == FULL:
-        return _mean_grad(model.params, model.arch, x, y)
-    raise ValueError(f"unknown scope {scope!r}")
+    return _mean_grad(model.params, model.arch, dataset.features[indices],
+                      dataset.labels[indices], scope)
 
+
+def grad_products(model: ModelState, features: np.ndarray, ref: np.ndarray,
+                  scope: str = LAST_LAYER):
+    """(||g_x||^2, g_x . ref) per row of ``features``, g_x its pseudo-labeled
+    gradient embedding and ``ref`` a flat embedding of the scope, from one
+    backprop pass without forming g_x: layer i's block of g_x is
+    delta_i (x) [a_i, 1], so ||g_x||^2 sums ||delta_i||^2 (||a_i||^2 + 1) and
+    g_x . ref sums delta_i . (R_i a_i + rho_i) over ref's blocks (R_i, rho_i)
+    (Goodfellow 2015, arXiv:1510.01799). Memory is O(rows x widest layer)."""
+    arch = model.arch
+    first, embedded = _scoped(arch, scope)
+    w_layers, r_layers = _layers(model.params, arch), _layers(ref, embedded)
+    acts, err = _output_error(w_layers, np.atleast_2d(np.asarray(features, dtype=float)))
+    sq, dot = np.zeros(len(err)), np.zeros(len(err))
+    for i, delta, a in _backward(w_layers, acts, err, first):
+        r_w, r_b = r_layers[i - first]
+        proj = a @ r_w.T
+        proj += r_b
+        sq += np.einsum("ij,ij->i", delta, delta) * (np.einsum("ij,ij->i", a, a) + 1.0)
+        dot += np.einsum("ij,ij->i", delta, proj)
+    return sq, dot

@@ -384,19 +384,75 @@ def test_kmeans_pp_factored_law_matches_dense_law(seed, hidden):
             d2 = np.minimum(d2, ((g - g[rows[k]]) ** 2).sum(axis=1))
 
 
+def dense_df_scores(model, ds, labeled, candidates, scope):
+    """The scores from materialized embeddings, pseudo-labeled as df_scores does."""
+    ref = mean_grad_embedding(model, ds, labeled, scope=scope)
+    x = ds.features[candidates]
+    emb = grad_embeddings(model, x, pseudo_labels(model, x), scope=scope)
+    return df_scores_from_embeddings(ref, emb, len(labeled))
+
+
 @pytest.mark.parametrize("scope", [LAST_LAYER, FULL])
-def test_streamed_df_scores_equal_dense_scores_bitwise(scope):
+def test_df_scores_match_dense_oracle(scope):
     # more candidates than one 256-row chunk, so the stream has several blocks
     ds = make_blobs(700, 3, 4, spread=0.8, seed=5)
     arch = ArchSpec(input_dim=4, n_classes=3, hidden_widths=(8, 6))
     model = train(init_model(arch, 0), ds, np.arange(30),
                   TrainConfig(learning_rate=0.01, epochs=3, seed=0))
     labeled, candidates = np.arange(30), np.arange(30, 700)
-    ref = mean_grad_embedding(model, ds, labeled, scope=scope)
-    x = ds.features[candidates]
-    dense = df_scores_from_embeddings(
-        ref, grad_embeddings(model, x, pseudo_labels(model, x), scope=scope), labeled.size)
-    assert np.array_equal(df_scores(model, ds, labeled, candidates, scope=scope), dense)
+    dense = dense_df_scores(model, ds, labeled, candidates, scope)
+    got = df_scores(model, ds, labeled, candidates, scope=scope)
+    np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0)
+
+
+def test_df_scores_match_dense_oracle_on_default_net():
+    ds = make_blobs(100, 4, 10, spread=1.0, seed=4)
+    model = train(init_model(ArchSpec(input_dim=10, n_classes=4), 0), ds, np.arange(50),
+                  TrainConfig(learning_rate=0.01, epochs=3, seed=0))
+    labeled, candidates = np.arange(50), np.arange(50, 100)
+    dense = dense_df_scores(model, ds, labeled, candidates, FULL)
+    got = df_scores(model, ds, labeled, candidates, scope=FULL)
+    np.testing.assert_allclose(got, dense, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("scope", [LAST_LAYER, FULL])
+def test_df_scores_rescore_exactly_near_zero(monkeypatch, scope):
+    # R = {x} under x's pseudo-label: the reference is g_x itself, and the
+    # factored distance leaves a residue that the exact rescoring takes to 0
+    ds, model, pool = fitted_fixture()
+    x = int(pool.unlabeled[0])
+    labels = ds.labels.copy()
+    labels[x] = pseudo_label(model, ds.features[x])
+    relabeled = Dataset(ds.features, labels, ds.n_classes)
+    rescored = []
+
+    def spy(model, features, labels=None, scope=LAST_LAYER):
+        rescored.append(features.copy())
+        return grad_embeddings(model, features, labels, scope)
+
+    monkeypatch.setattr("gradal.acquisition.grad_embeddings", spy)
+    scores = df_scores(model, relabeled, [x], pool.unlabeled, scope=scope)
+    assert scores[0] == 0.0
+    assert len(rescored) == 1 and np.array_equal(rescored[0], ds.features[[x]])
+    dense = dense_df_scores(model, relabeled, [x], pool.unlabeled[1:], scope)
+    np.testing.assert_allclose(scores[1:], dense, rtol=1e-12, atol=0)
+
+
+def test_last_layer_df_scores_memory_does_not_grow_with_the_pool():
+    # the default net's widths, so a chunk's activations outweigh the
+    # 8-byte score (and index) of each candidate
+    ds = make_blobs(20_100, 4, 10, spread=1.0, seed=1)
+    model = init_model(ArchSpec(input_dim=10, n_classes=4), 0)
+    peaks = []
+    for n in (2_000, 20_000):
+        candidates = np.arange(100, 100 + n)
+        tracemalloc.start()
+        try:
+            df_scores(model, ds, np.arange(100), candidates)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_full_scope_df_scores_memory_is_bounded_by_the_chunk():
@@ -418,8 +474,8 @@ def test_full_scope_df_scores_memory_is_bounded_by_the_chunk():
 
 
 def test_full_scope_df_scores_holds_one_chunk_of_embeddings():
-    # every chunk is scored in one reused 256-row buffer: one chunk's
-    # embeddings plus the backprop activations and the scores
+    # scores come from a chunk's activations and deltas, 256 x 120 values
+    # here, not from its 256 x n_params embeddings
     ds = make_blobs(2_100, 4, 20, spread=1.0, seed=1)
     arch = ArchSpec(input_dim=20, n_classes=4, hidden_widths=(64, 32))
     model = init_model(arch, 0)
@@ -430,7 +486,7 @@ def test_full_scope_df_scores_holds_one_chunk_of_embeddings():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * chunk_bytes
+    assert peak < chunk_bytes / 4
 
 
 # ------------------------------------------------------------ k-center

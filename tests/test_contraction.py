@@ -161,9 +161,9 @@ def test_dual_route_mean_gradient_agreement():
     (FULL, 0, 8 + 1, 8),
     # minibatches over S, then mean_grad(S) and mean_grad(S_J) per epoch
     (FULL, 8, 8 + 8, 8),
-    # the full-batch steps, plus the gradient after the last step that the
-    # engine hands on; the last-layer monitor runs on forward-pass factors
-    (LAST_LAYER, 0, 8 + 1, 0),
+    # as at full scope: the monitor slices mean_grad(S) from the engine's
+    # gradient and computes the last layer's mean_grad(S_J) per epoch
+    (LAST_LAYER, 0, 8 + 1, 8),
 ])
 def test_trace_backprop_row_count(monkeypatch, scope, minibatch_size, s_passes, s_j_passes):
     rows = []

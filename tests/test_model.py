@@ -17,7 +17,6 @@ from gradal.model import (
     _output_error,
     _stack_grad,
     grad_embedding,
-    grad_embedding_chunks,
     grad_embeddings,
     init_model,
     last_layer_factors,
@@ -371,7 +370,8 @@ def _reference_trace(ds, cfg, s, s_j):
 
 @pytest.mark.parametrize("scope, minibatch_size", [(FULL, 8), (LAST_LAYER, 0)])
 def test_contraction_trace_reproduces_reference_loop(scope, minibatch_size):
-    # minibatch mode and last-layer scope compute mean_grad(S) in the monitor
+    # minibatch mode computes mean_grad(S) in the monitor; the last-layer
+    # full-batch monitor slices it from the engine's gradient
     ds = make_blobs(60, 2, 3, spread=0.7, seed=1)
     cfg = ContractionConfig(s_size=40, subset_fraction=0.25, epochs=6, learning_rate=0.01,
                             seed=0, scope=scope, hidden_widths=(8,), momentum=0.5,
@@ -522,10 +522,6 @@ def test_grad_embeddings_equal_reference_bitwise(scope, labeled):
     y = ds.labels if labeled else None
     expected = _reference_embeddings(m, ds.features, y, scope)
     assert np.array_equal(grad_embeddings(m, ds.features, y, scope=scope), expected)
-    buf = np.empty((256, arch.embedding_dim(scope)))
-    blocks = [emb.copy() for emb in grad_embedding_chunks(m, ds.features, y, scope, out=buf)]
-    assert [len(b) for b in blocks] == [256, 44]
-    assert np.array_equal(np.concatenate(blocks), expected)
 
 
 def _reference_stack_grad(w_layers, g_layers, x, y):
@@ -561,6 +557,16 @@ def test_mean_grad_embedding_singleton():
     single = grad_embedding(m, ds.features[3], int(ds.labels[3]))
     mean = mean_grad_embedding(m, ds, [3])
     assert np.allclose(single, mean, atol=1e-12)
+
+
+def test_last_layer_mean_is_trailing_slice_of_full_mean_bitwise():
+    # both scopes run one _stack_grad; the last layer's block does not
+    # depend on where the backprop stops
+    ds = make_blobs(200, 4, 10, spread=1.0, seed=2)
+    m = init_model(ArchSpec(input_dim=10, n_classes=4, hidden_widths=(64, 32)), 5)
+    last = mean_grad_embedding(m, ds, np.arange(200), scope=LAST_LAYER)
+    full = mean_grad_embedding(m, ds, np.arange(200), scope=FULL)
+    assert np.array_equal(last, full[-last.size:])
 
 
 def test_mean_grad_embedding_additivity():
