@@ -94,9 +94,12 @@ def load_config(path) -> dict:
     return config
 
 
-def _get(cfg: dict, name: str, kind, default=None, required=False, where="", minimum=None):
-    """Field ``name`` of ``cfg`` checked against ``kind``; a ``tuple`` kind
-    reads a list of positive integers."""
+def _get(cfg: dict, name: str, kind, default=None, required=False, where="", minimum=None,
+         choices=None):
+    """Field ``name`` of ``cfg`` checked against ``kind``, ``minimum`` and
+    ``choices``. A ``tuple`` kind reads a list of positive integers; a
+    one-entry list kind such as ``[int]`` reads a nonempty list of distinct
+    entries as a tuple, entry i checked as ``name[i]`` against the rest."""
     label = f"{where}{name}"
     if name not in cfg:
         if required:
@@ -108,55 +111,70 @@ def _get(cfg: dict, name: str, kind, default=None, required=False, where="", min
                 isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in value):
             raise ConfigError(f"{label}: expected a list of positive integers")
         return tuple(value)
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{label}: expected a nonempty list")
+        entries = {f"{label}[{i}]": v for i, v in enumerate(value)}
+        value = tuple(_get(entries, key, kind[0], minimum=minimum, choices=choices)
+                      for key in entries)
+        if len(set(value)) != len(value):
+            raise ConfigError(f"{label}: duplicate entries")
+        return value
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
-    if kind is not None and not isinstance(value, kind) or isinstance(value, bool) and kind is int:
-        raise ConfigError(f"{label}: expected {getattr(kind, '__name__', kind)}")
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
+        raise ConfigError(f"{label}: expected {kind.__name__}")
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"{label}: expected a finite number, got {value}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{label}: must be >= {minimum}")
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{label}: must be one of {', '.join(choices)}, got {value!r}")
     return value
 
 
 def _only(raw: dict, names, where=""):
-    """Reject a key of ``raw`` that is not in ``names``, naming it."""
+    """Reject a key of ``raw`` that is not in ``names``, naming it, and an
+    ``out_dir`` (a key of every verb) that is not a string."""
     unknown = sorted(set(raw) - set(names))
     if unknown:
         raise ConfigError(f"{where}{unknown[0]}: unknown field")
+    _get(raw, "out_dir", str, where=where)
 
 
-def _section(cls, raw: dict, where: str, **given):
-    """A ``cls`` dataclass from the config section ``raw``: each field not in
-    ``given`` is read under its annotated type, an absent one takes the
-    dataclass default, and a key that names no field is an error. ``given``
-    values are never read from the config."""
-    _only(raw, [f.name for f in fields(cls)], f"{where}.")
+def _section(cls, config: dict, name: str, default=None, **given):
+    """A ``cls`` dataclass from the section ``name`` of ``config`` (``default``
+    when it is absent): each field not in ``given`` is read under its
+    annotated type, an absent one takes the dataclass default, and a key
+    that names no field is an error. ``given`` values are never read."""
+    raw = _get(config, name, dict, default or {})
+    _only(raw, [f.name for f in fields(cls)], f"{name}.")
     values = dict(given)
     for f in fields(cls):
         if f.name not in given:
             required = f.default is MISSING and f.default_factory is MISSING
-            value = _get(raw, f.name, f.type, required=required, where=f"{where}.")
+            value = _get(raw, f.name, f.type, required=required, where=f"{name}.")
             if value is not None:
                 values[f.name] = value
     try:
         return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def build_dataset(cfg: dict, where: str = "dataset.") -> Dataset:
-    if not isinstance(cfg, dict):
-        raise ConfigError("dataset: expected an object")
     kind = _get(cfg, "kind", str, required=True, where=where)
     if kind == "blobs":
-        return make_blobs(
-            n_samples=_get(cfg, "n_samples", int, required=True, where=where),
-            n_classes=_get(cfg, "n_classes", int, required=True, where=where),
-            n_features=_get(cfg, "n_features", int, required=True, where=where),
-            spread=_get(cfg, "spread", float, required=True, where=where),
-            seed=_get(cfg, "seed", int, 0, where=where),
-        )
+        try:
+            return make_blobs(
+                n_samples=_get(cfg, "n_samples", int, required=True, where=where),
+                n_classes=_get(cfg, "n_classes", int, required=True, where=where),
+                n_features=_get(cfg, "n_features", int, required=True, where=where),
+                spread=_get(cfg, "spread", float, required=True, where=where),
+                seed=_get(cfg, "seed", int, 0, where=where),
+            )
+        except ValueError as exc:
+            raise ConfigError(f"dataset: {exc}") from exc
     if kind == "csv":
         path = _get(cfg, "path", str, required=True, where=where)
         label = _get(cfg, "label_column", str, "label", where=where)
@@ -165,34 +183,6 @@ def build_dataset(cfg: dict, where: str = "dataset.") -> Dataset:
         except FileNotFoundError as exc:
             raise ConfigError(f"{where}path: {exc}") from exc
     raise ConfigError(f"{where}kind: unknown dataset kind {kind!r}")
-
-
-def _methods_from(cfg: dict) -> list:
-    methods = _get(cfg, "methods", list, list(METHODS))
-    if not methods:
-        raise ConfigError("methods: must be nonempty")
-    for i, m in enumerate(methods):
-        if m not in METHODS:
-            raise ConfigError(f"methods[{i}]: unknown method {m!r}")
-    if len(set(methods)) != len(methods):
-        raise ConfigError("methods: duplicate entries")
-    return methods
-
-
-def _scope_from(cfg: dict) -> str:
-    scope = _get(cfg, "scope", str, LAST_LAYER)
-    if scope not in SCOPES:
-        raise ConfigError(f"scope: unknown scope {scope!r}")
-    return scope
-
-
-def _seeds_from(cfg: dict, default=(0,)) -> tuple:
-    seeds = _get(cfg, "seeds", list, list(default))
-    if not seeds or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds):
-        raise ConfigError("seeds: expected a nonempty list of integers")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds: duplicate entries")
-    return tuple(seeds)
 
 
 def _standardized(dataset: Dataset, train_idx: np.ndarray) -> Dataset:
@@ -313,13 +303,13 @@ def cmd_run(config: dict, out_flag=None) -> int:
     _only(config, "out_dir dataset split model train methods scope seeds batch_size rounds "
                   "initial_size sweep_lr standardize".split())
     dataset = build_dataset(_get(config, "dataset", dict, required=True))
-    split_spec = _section(SplitSpec, _get(config, "split", dict, {}), "split")
-    arch = _section(ArchSpec, _get(config, "model", dict, {}), "model",
+    split_spec = _section(SplitSpec, config, "split")
+    arch = _section(ArchSpec, config, "model",
                     input_dim=dataset.n_features, n_classes=dataset.n_classes)
-    train_cfg = _section(TrainConfig, _get(config, "train", dict, {}), "train", seed=0)
-    methods = _methods_from(config)
-    scope = _scope_from(config)
-    seeds = _seeds_from(config)
+    train_cfg = _section(TrainConfig, config, "train", seed=0)
+    methods = _get(config, "methods", [str], METHODS, choices=METHODS)
+    scope = _get(config, "scope", str, LAST_LAYER, choices=SCOPES)
+    seeds = _get(config, "seeds", [int], (0,))
     b = _get(config, "batch_size", int, required=True, minimum=1)
     rounds = _get(config, "rounds", int, required=True, minimum=0)
     initial_size = _get(config, "initial_size", int, minimum=1)
@@ -450,18 +440,16 @@ def cmd_geometry(config: dict, out_flag=None) -> int:
     started = _timestamp()
     _only(config, "out_dir dataset model train methods scope seed initial_size batch_sizes".split())
     dataset = build_dataset(_get(config, "dataset", dict, required=True))
-    arch = _section(ArchSpec, _get(config, "model", dict, {}), "model",
+    arch = _section(ArchSpec, config, "model",
                     input_dim=dataset.n_features, n_classes=dataset.n_classes)
-    train_cfg = _section(TrainConfig, _get(config, "train", dict, {}), "train", seed=0)
-    methods = _methods_from(config)
-    scope = _scope_from(config)
+    train_cfg = _section(TrainConfig, config, "train", seed=0)
+    methods = _get(config, "methods", [str], METHODS, choices=METHODS)
+    scope = _get(config, "scope", str, LAST_LAYER, choices=SCOPES)
     seed = _get(config, "seed", int, 0)
     initial_size = _get(config, "initial_size", int, 10)
     if not 1 <= initial_size < dataset.n_samples:
         raise ConfigError(f"initial_size: must be in [1, {dataset.n_samples - 1}]")
-    batch_sizes = _get(config, "batch_sizes", tuple, (10, 20, 40))
-    if not batch_sizes:
-        raise ConfigError("batch_sizes: must be nonempty")
+    batch_sizes = _get(config, "batch_sizes", [int], (10, 20, 40), minimum=1)
 
     pool = init_pool(np.arange(dataset.n_samples), initial_size, seed)
     [model] = _trained(arch, dataset, pool.labeled, train_cfg, (seed,))
@@ -526,12 +514,12 @@ def cmd_shift(config: dict, out_flag=None) -> int:
     started = _timestamp()
     _only(config, "out_dir dataset split model train scope seeds shift eval_size".split())
     dataset = build_dataset(_get(config, "dataset", dict, required=True))
-    split_spec = _section(SplitSpec, _get(config, "split", dict, {}), "split")
-    arch = _section(ArchSpec, _get(config, "model", dict, {}), "model",
+    split_spec = _section(SplitSpec, config, "split")
+    arch = _section(ArchSpec, config, "model",
                     input_dim=dataset.n_features, n_classes=dataset.n_classes)
-    train_cfg = _section(TrainConfig, _get(config, "train", dict, {}), "train", seed=0)
-    scope = _scope_from(config)
-    seeds = _seeds_from(config)
+    train_cfg = _section(TrainConfig, config, "train", seed=0)
+    scope = _get(config, "scope", str, LAST_LAYER, choices=SCOPES)
+    seeds = _get(config, "seeds", [int], (0,))
     shift = _shift_vector(config, dataset)
     shifted = make_shifted(dataset, shift)
 
@@ -574,8 +562,7 @@ def cmd_contraction(config: dict, out_flag=None) -> int:
     started = _timestamp()
     _only(config, "out_dir dataset contraction".split())
     dataset = build_dataset(_get(config, "dataset", dict, required=True))
-    trace_cfg = _section(ContractionConfig, _get(config, "contraction", dict, {}),
-                         "contraction")
+    trace_cfg = _section(ContractionConfig, config, "contraction")
     try:
         report = run_contraction_trace(trace_cfg, dataset)
     except ValueError as exc:
@@ -604,25 +591,22 @@ def cmd_timing(config: dict, out_flag=None) -> int:
     rounds = _get(config, "rounds", int, 5, minimum=1)
     initial_size = _get(config, "initial_size", int, batch_size, minimum=1)
     seed = _get(config, "seed", int, 0)
-    methods = _methods_from(config)
-    scope = _scope_from(config)
+    methods = _get(config, "methods", [str], METHODS, choices=METHODS)
+    scope = _get(config, "scope", str, LAST_LAYER, choices=SCOPES)
     if pool_size < batch_size * rounds:
         raise ConfigError("pool_size: too small for rounds x batch_size")
 
-    dataset_cfg = dict(_get(config, "dataset", dict, {}) or {})
-    dataset_cfg.setdefault("kind", "blobs")
-    if dataset_cfg["kind"] == "blobs":
-        dataset_cfg.setdefault("n_classes", 10)
-        dataset_cfg.setdefault("n_features", 20)
-        dataset_cfg.setdefault("spread", 2.0)
-        dataset_cfg.setdefault("n_samples", pool_size + initial_size)
+    dataset_cfg = _get(config, "dataset", dict, {})
+    if dataset_cfg.get("kind", "blobs") == "blobs":
+        dataset_cfg = {"kind": "blobs", "n_classes": 10, "n_features": 20, "spread": 2.0,
+                       "n_samples": pool_size + initial_size, **dataset_cfg}
     dataset = build_dataset(dataset_cfg)
     if dataset.n_samples < pool_size + initial_size:
         raise ConfigError("dataset.n_samples: smaller than pool_size + initial_size")
-    arch = _section(ArchSpec, _get(config, "model", dict, {"hidden_widths": [128, 64]}),
-                    "model", input_dim=dataset.n_features, n_classes=dataset.n_classes)
-    train_raw = _get(config, "train", dict, {"epochs": 3, "learning_rate": 0.01})
-    train_cfg = _section(TrainConfig, train_raw, "train", seed=0)
+    arch = _section(ArchSpec, config, "model", {"hidden_widths": [128, 64]},
+                    input_dim=dataset.n_features, n_classes=dataset.n_classes)
+    train_cfg = _section(TrainConfig, config, "train", {"epochs": 3, "learning_rate": 0.01},
+                         seed=0)
 
     base = init_pool(np.arange(dataset.n_samples), initial_size, seed)
     start_pool = PoolState(labeled=base.labeled, unlabeled=base.unlabeled[:pool_size])

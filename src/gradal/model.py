@@ -297,14 +297,13 @@ def _checked_labels(labels, n_classes: int):
     return labels
 
 
-def last_layer_factors(model: ModelState, features: np.ndarray, labels=None):
+def last_layer_factors(model: ModelState, features: np.ndarray):
     """One forward pass to the factor pair ``(err, h1)`` of last-layer
     gradients: row i's gradient is the outer product of err_i = softmax_i -
-    onehot(y_i) with h1_i = [penultimate_i, 1]. ``labels`` None takes each
-    row's pseudo-label from the same softmax (argmax, lowest id on ties)."""
+    onehot(y_i) with h1_i = [penultimate_i, 1], y_i the row's pseudo-label
+    from the same softmax (argmax, lowest id on ties)."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    labels = _checked_labels(labels, model.arch.n_classes)
-    acts, err = _output_error(_layers(model.params, model.arch), features, labels)
+    acts, err = _output_error(_layers(model.params, model.arch), features)
     return err, np.concatenate([acts[-1], np.ones((features.shape[0], 1))], axis=1)
 
 

@@ -332,6 +332,56 @@ def test_repeated_seeds_exit_2(tmp_path, capsys, verb):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb, field, value, label", [
+    ("run", "scope", "middle", "scope"),
+    ("geometry", "scope", "middle", "scope"),
+    ("shift", "scope", "middle", "scope"),
+    ("timing", "scope", "middle", "scope"),
+    ("run", "methods", [], "methods"),
+    ("run", "methods", ["grad", "grad"], "methods"),
+    ("run", "seeds", [1.5], "seeds[0]"),
+    ("run", "seeds", [True], "seeds[0]"),
+    ("geometry", "batch_sizes", [10, 10], "batch_sizes"),
+])
+def test_bad_list_or_choice_exits_2_naming_field(tmp_path, capsys, verb, field, value, label):
+    config = {"run": run_config, "geometry": geometry_config, "shift": shift_config,
+              "timing": timing_config}[verb]()
+    config[field] = value
+    out = tmp_path / "out"
+    code = main([verb, "--config", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {label}: ")
+    if field == "scope":
+        assert "last_layer, full" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", ["run", "geometry", "shift", "contraction", "timing"])
+def test_non_string_out_dir_exits_2_before_any_work(tmp_path, capsys, monkeypatch, verb):
+    config = {"run": run_config, "geometry": geometry_config, "shift": shift_config,
+              "contraction": contraction_config, "timing": timing_config}[verb]()
+    config["out_dir"] = 5
+    path = write_config(tmp_path, config)
+    monkeypatch.delenv("GRADAL_OUT", raising=False)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("gradal.cli.build_dataset", lambda *a, **k: pytest.fail("work started"))
+    assert main([verb, "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: out_dir: expected str")
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_blob_generator_error_exits_2_naming_dataset(tmp_path, capsys):
+    config = run_config()
+    config["dataset"]["n_samples"] = 1
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: dataset: need at least one sample per class")
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_1_and_writes_nothing(tmp_path, capsys):
     config = run_config()
     config["train"]["learning_rate"] = 1e300  # every seed diverges

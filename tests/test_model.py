@@ -19,7 +19,6 @@ from gradal.model import (
     grad_embedding,
     grad_embeddings,
     init_model,
-    last_layer_factors,
     loss_mean,
     mean_grad_embedding,
     penultimate,
@@ -475,8 +474,6 @@ def test_out_of_range_labels_raise_naming_the_label(scope, bad):
     m = init_model(tiny_arch(c=3), 0)
     with pytest.raises(ValueError, match=f"label {bad} out of range"):
         grad_embeddings(m, np.zeros((2, 4)), [bad, 0], scope=scope)
-    with pytest.raises(ValueError, match=f"label {bad} out of range"):
-        last_layer_factors(m, np.zeros((2, 4)), [0, bad])
 
 
 def _reference_full_embeddings(model, x, y=None):
@@ -503,7 +500,9 @@ def _reference_embeddings(model, x, y, scope, chunk=256):
         return np.concatenate([
             _reference_full_embeddings(model, x[i:i + chunk], None if y is None else y[i:i + chunk])
             for i in range(0, len(x), chunk)])
-    err, h1 = last_layer_factors(model, x, y)
+    w_layers = _layers(model.params, model.arch)
+    acts, err = _output_error(w_layers, x, y)
+    h1 = np.concatenate([acts[-1], np.ones((len(x), 1))], axis=1)
     n_classes, width = err.shape[1], h1.shape[1] - 1
     emb = np.empty((len(x), n_classes * (width + 1)))
     np.einsum("nc,nh->nch", err, h1[:, :-1],
