@@ -30,6 +30,9 @@ from .model import (
 from .numerics import Rng, l2_norm
 
 METHODS = ("grad", "entropy", "badge", "kcenter", "random")
+# k-center's screen: the expanded squared distance is off from the exact one by about (H + 3) eps
+# (p_sq_i + p_sq_c), far below this margin, or by H subnormal spacings, far below finfo.tiny
+_SCREEN_MARGIN = 1e-8
 
 
 @dataclass
@@ -234,16 +237,19 @@ def select_kcenter(model: ModelState, dataset: Dataset, pool: PoolState,
     feats = penultimate(model, dataset.features[pool.unlabeled])
     centers = penultimate(model, dataset.features[pool.labeled])
     min_dist = _min_dist_to(feats, centers)
-    diff = np.empty_like(feats)  # every pick's squared differences, in one buffer
+    p_sq = (feats ** 2).sum(axis=1)
     chosen, chosen_scores = [], []
     for _ in range(min(int(b), pool.unlabeled.size)):
         pick = int(np.argmax(min_dist))
         chosen.append(pick)
         chosen_scores.append(float(min_dist[pick]))
-        np.subtract(feats, feats[pick], out=diff)
-        np.square(diff, out=diff)
-        d = np.sqrt(np.maximum(diff.sum(axis=1), 0.0))
-        np.minimum(min_dist, d, out=min_dist)
+        # a row changes only if its exact distance is below min_dist: those rows pass the screen
+        # (so does NaN) and get the exact distance, whose bits do not depend on the rows taken
+        approx = p_sq + p_sq[pick] - 2.0 * (feats @ feats[pick])
+        bound = min_dist ** 2 * (1.0 + _SCREEN_MARGIN) + _SCREEN_MARGIN * (p_sq + p_sq[pick])
+        rows = np.flatnonzero(~((approx > bound + np.finfo(float).tiny) | (min_dist <= 0.0)))
+        d = np.sqrt(np.maximum(((feats[rows] - feats[pick]) ** 2).sum(axis=1), 0.0))
+        min_dist[rows] = np.minimum(min_dist[rows], d)
         min_dist[pick] = -1.0  # never re-pick
     return AcquisitionBatch(indices=pool.unlabeled[chosen], method="kcenter", scores=chosen_scores)
 

@@ -31,6 +31,7 @@ from .acquisition import METHODS, df_scores, timed_select
 from .al_loop import ExperimentConfig, run_experiments
 from .contraction import ContractionConfig, cumulative_df_bound_check, run_contraction_trace
 from .data import (
+    ColumnError,
     Dataset,
     PoolState,
     SplitSpec,
@@ -180,7 +181,9 @@ def build_dataset(cfg: dict, where: str = "dataset.") -> Dataset:
         label = _get(cfg, "label_column", str, "label", where=where)
         try:
             return load_csv(path, label_column=label)
-        except FileNotFoundError as exc:
+        except ColumnError as exc:
+            raise ConfigError(f"{where}label_column: {exc}") from exc
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"{where}path: {exc}") from exc
     raise ConfigError(f"{where}kind: unknown dataset kind {kind!r}")
 

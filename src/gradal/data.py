@@ -120,6 +120,10 @@ def _encode_labels(raw: list) -> tuple:
     return np.array([mapping[v] for v in raw], dtype=np.int64), len(unique)
 
 
+class ColumnError(ValueError):
+    """A CSV header that lacks the requested column."""
+
+
 def load_csv(path, label_column: str) -> Dataset:
     """Load a comma-separated file with a header row into a Dataset.
 
@@ -138,7 +142,7 @@ def load_csv(path, label_column: str) -> Dataset:
         except StopIteration:
             raise ValueError(f"{path}: empty file")
         if label_column not in header:
-            raise ValueError(f"{path}: label column {label_column!r} not in header")
+            raise ColumnError(f"{path}: label column {label_column!r} not in header")
         label_idx = header.index(label_column)
         feature_names = [h for i, h in enumerate(header) if i != label_idx]
         rows, raw_labels = [], []

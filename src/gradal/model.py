@@ -147,7 +147,9 @@ def _output_error(layers, x: np.ndarray, y=None, bufs=None):
     takes each row's pseudo-label: the argmax, lowest class id on ties."""
     acts, logits = _forward(layers, x, bufs)
     err = _softmax(logits)
-    err -= np.eye(err.shape[-1])[np.argmax(err, axis=-1) if y is None else y]
+    labels = np.argmax(err, axis=-1) if y is None else y
+    # 1 off each row's label entry, through a flat view of the fresh softmax
+    err.reshape(-1)[np.arange(0, err.size, err.shape[-1]) + np.ravel(labels)] -= 1.0
     return acts, err
 
 

@@ -563,6 +563,55 @@ def test_select_kcenter_memory_is_one_distance_block():
     assert peak < bound
 
 
+def test_select_kcenter_equals_reference_bitwise_over_two_blocks_at_b200():
+    ds, model, pool = two_block_kcenter_fixture()
+    feats = penultimate(model, ds.features[pool.unlabeled])
+    centers = penultimate(model, ds.features[pool.labeled])
+    rows, scores = kcenter_reference(feats, min_dist_reference(feats, centers), 200)
+    batch = select_kcenter(model, ds, pool, b=200)
+    assert np.array_equal(batch.indices, pool.unlabeled[rows])
+    assert np.array(batch.scores).tobytes() == np.array(scores).tobytes()
+
+
+def _screen_pool(kind):
+    """(features, labeled count) for pools that stress k-center's screen."""
+    rng = np.random.default_rng(11)
+    if kind == "duplicates":  # exact copies of each pick: distance 0, argmax ties
+        return rng.normal(size=(6, 3))[rng.integers(0, 6, size=60)], 2
+    if kind == "identical":  # every row passes the first pick's screen
+        x = np.full((40, 3), 2.5)
+        x[0] = 0.0
+        return x, 1
+    if kind == "tiny-far":  # min_dist^2 far above p_sq + f_sq
+        x = rng.normal(size=(50, 4)) * 1e-6
+        x[:3] = rng.normal(size=(3, 4)) * 1e3
+        return x, 3
+    if kind == "offset":  # distances far below the norms: the expanded form cancels
+        return rng.normal(size=(60, 4)) * 1e-5 + 1e4, 2
+    if kind == "underflow":  # squares of the coordinates are subnormal
+        return rng.integers(-3, 4, size=(50, 3)) * 1e-161, 3
+    return rng.normal(size=(30, 5)), 4  # "random"
+
+
+@pytest.mark.parametrize("kind, b", [
+    ("duplicates", 20), ("identical", 10), ("tiny-far", 15), ("offset", 40), ("underflow", 30),
+    ("random", 26), ("random", 40),
+])
+def test_select_kcenter_screen_equals_reference_bitwise(kind, b):
+    # a net without hidden layers keeps the features; "random" takes b = |U| and b > |U|.
+    # The picks start from _min_dist_to's distances: where products are subnormal,
+    # min_dist_reference's (2 points) @ centers rounds unlike 2 (points @ centers).
+    x, n_labeled = _screen_pool(kind)
+    ds = Dataset(x, np.arange(len(x)) % 2, 2)
+    model = init_model(ArchSpec(input_dim=x.shape[1], n_classes=2, hidden_widths=()), 0)
+    pool = PoolState(np.arange(n_labeled), np.arange(n_labeled, len(x)))
+    feats = x[n_labeled:]
+    rows, scores = kcenter_reference(feats, _min_dist_to(feats, x[:n_labeled]), b)
+    batch = select_kcenter(model, ds, pool, b)
+    assert np.array_equal(batch.indices, pool.unlabeled[rows])
+    assert np.array(batch.scores).tobytes() == np.array(scores).tobytes()
+
+
 def test_kcenter_line_example():
     # penultimate space == input space when there are no hidden layers;
     # points at 0, 1, 2, 10 with only 0 labeled: farthest-first takes 10, then 2

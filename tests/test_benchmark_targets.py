@@ -1,6 +1,7 @@
-"""The traced benchmark wraps gradal functions by name, and its own tests
-are not part of this suite, so check here that every name it wraps still
-resolves: a deletion that would break the traced run then fails here."""
+"""The benchmark imports gradal names and the traced benchmark wraps gradal
+functions by name, and its own tests are not part of this suite, so check
+here that every such name still resolves: a rename or deletion that would
+break a benchmark run then fails here."""
 
 import ast
 import importlib
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def tracer_targets():
@@ -35,3 +37,26 @@ def test_tracer_target_resolves(module, attr):
 def test_al_loop_binds_train():
     # the tracer's uninstall test reads this binding back
     assert hasattr(importlib.import_module("gradal.al_loop"), "train")
+
+
+def benchmark_imports():
+    """(module, name) for each ``from gradal... import name`` in the
+    benchmark's files, read without importing them."""
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [(node.module, alias.name) for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "gradal" for alias in node.names]
+    return sorted(set(found))
+
+
+def test_the_benchmark_imports_from_gradal():
+    assert len({m for m, _ in benchmark_imports()}) >= 6
+
+
+@pytest.mark.parametrize("module, name", benchmark_imports(), ids=lambda v: v)
+def test_benchmark_import_resolves(module, name):
+    obj = importlib.import_module(module)
+    if not hasattr(obj, name):  # ``from gradal import cli`` names a submodule
+        importlib.import_module(f"{module}.{name}")

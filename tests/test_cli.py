@@ -382,6 +382,29 @@ def test_blob_generator_error_exits_2_naming_dataset(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, label_column, field", [
+    ("a,b,label\n1,2,0\n3,4,1\n", "lab", "label_column"),  # no such column
+    ("a,b,label\n1,2,0\n3,x,1\n", "label", "path"),  # non-numeric cell
+    ("a,b,label\n1,2,0\n3,4\n", "label", "path"),  # short row
+    (None, "label", "path"),  # a directory
+], ids=["missing-column", "non-numeric", "short-row", "directory"])
+def test_bad_csv_exits_2_naming_field_and_writes_nothing(tmp_path, capsys, text, label_column,
+                                                        field):
+    data = tmp_path / "data.csv"
+    if text is None:
+        data.mkdir()
+    else:
+        data.write_text(text, encoding="utf-8")
+    config = contraction_config()
+    config["dataset"] = {"kind": "csv", "path": str(data), "label_column": label_column}
+    path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    code = main(["contraction", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: dataset.{field}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([data.name, path.name])
+
+
 def test_runtime_failure_exits_1_and_writes_nothing(tmp_path, capsys):
     config = run_config()
     config["train"]["learning_rate"] = 1e300  # every seed diverges

@@ -12,9 +12,11 @@ from gradal.model import (
     ArchSpec,
     ModelState,
     TrainConfig,
+    _forward,
     _layers,
     _mean_grad,
     _output_error,
+    _softmax,
     _stack_grad,
     grad_embedding,
     grad_embeddings,
@@ -474,6 +476,26 @@ def test_out_of_range_labels_raise_naming_the_label(scope, bad):
     m = init_model(tiny_arch(c=3), 0)
     with pytest.raises(ValueError, match=f"label {bad} out of range"):
         grad_embeddings(m, np.zeros((2, 4)), [bad, 0], scope=scope)
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-model", "stack"])
+@pytest.mark.parametrize("given", [False, True], ids=["pseudo-labels", "labels"])
+def test_output_error_equals_one_hot_subtract_bitwise(stacked, given):
+    arch = tiny_arch(c=3)
+    rng = np.random.default_rng(5)
+    # the zero net ties every class, so its pseudo-labels are all class 0
+    params = np.stack([np.zeros(arch.n_params), init_model(arch, 1).params])
+    x = rng.normal(size=(2, 9, 4))
+    y = rng.integers(0, 3, size=(2, 9))
+    if not stacked:
+        params, x, y = params[1], x[1], y[1]
+    layers = _layers(params, arch)
+    acts, err = _output_error(layers, x, y if given else None)
+    _, logits = _forward(layers, x)
+    want = _softmax(logits)
+    want -= np.eye(3)[y if given else np.argmax(want, axis=-1)]
+    assert err.tobytes() == want.tobytes()
+    assert acts[-1].tobytes() == _forward(layers, x)[0][-1].tobytes()
 
 
 def _reference_full_embeddings(model, x, y=None):
