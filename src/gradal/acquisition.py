@@ -92,10 +92,11 @@ def df_score(model: ModelState, dataset: Dataset, labeled, x_index: int,
 def df_scores(model: ModelState, dataset: Dataset, labeled, candidate_indices,
               scope: str = LAST_LAYER) -> np.ndarray:
     """Vectorized df_score over many candidates, the reference mean computed
-    once. Squared distances come from ``grad_products``, CHUNK_ROWS candidates
-    at a time, so no per-example gradient is formed. Near 0 they cancel to a
-    residue of order eps ||g||^2: as in ``_factored_sq_dists``, negatives are
-    clipped and rows within it are rescored exactly from their embeddings."""
+    once. Squared distances come from ``grad_products``, one zero-padded
+    CHUNK_ROWS tile of candidates at a time, so no per-example gradient is
+    formed. Near 0 they cancel to a residue of order eps ||g||^2: as in
+    ``_factored_sq_dists``, negatives are clipped and rows within it are
+    rescored exactly, each from its own embedding."""
     labeled = np.asarray(labeled, dtype=np.int64)
     if labeled.size == 0:
         raise ValueError("labeled set must be nonempty")
@@ -106,14 +107,15 @@ def df_scores(model: ModelState, dataset: Dataset, labeled, candidate_indices,
     scores = np.empty(candidate_indices.size)
     for start in range(0, candidate_indices.size, CHUNK_ROWS):
         x = dataset.features[candidate_indices[start:start + CHUNK_ROWS]]
-        sq, dot = grad_products(model, x, ref, scope)
+        tile = x if len(x) == CHUNK_ROWS else np.pad(x, ((0, CHUNK_ROWS - len(x)), (0, 0)))
+        sq, dot = (v[:len(x)] for v in grad_products(model, tile, ref, scope))
         d2 = np.maximum(sq - 2.0 * dot + ref_sq, 0.0)
         near = np.flatnonzero(d2 <= 1e-9 * (sq + ref_sq))
         chunk = scores[start:start + len(x)]
         np.multiply(factor, np.sqrt(d2), out=chunk)
-        if near.size:
-            chunk[near] = df_scores_from_embeddings(
-                ref, grad_embeddings(model, x[near], scope=scope), labeled.size)
+        for i in near:  # one row per call, so no row's bits follow how many are near 0
+            chunk[i] = df_scores_from_embeddings(
+                ref, grad_embeddings(model, x[[i]], scope=scope), labeled.size)[0]
     return scores
 
 
@@ -208,22 +210,28 @@ def select_badge(model: ModelState, dataset: Dataset, pool: PoolState, b: int,
     return AcquisitionBatch(indices=pool.unlabeled[rows], method="badge", scores=None)
 
 
-def _min_dist_to(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each point to its nearest center. One
-    (points, CHUNK_ROWS) block is live at a time; it takes the operations of
-    p_sq - 2 points @ block.T + c_sq in place (doubling is exact), on the
-    same GEMM shape, so the bits do not depend on how memory is held."""
-    p_sq = (points ** 2).sum(axis=1)
-    best = np.full(points.shape[0], np.inf)
-    for start in range(0, centers.shape[0], CHUNK_ROWS):
-        block = centers[start:start + CHUNK_ROWS]
-        d2 = points @ block.T
-        d2 *= 2.0
-        np.subtract(p_sq[:, None], d2, out=d2)
-        d2 += (block ** 2).sum(axis=1)
-        np.minimum(best, d2.min(axis=1), out=best)
-        del d2  # else the next block's GEMM allocates beside this one
-    return np.sqrt(np.maximum(best, 0.0))
+def _min_dist_to(points: np.ndarray, centers: np.ndarray, p_sq: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest center, p_sq the points'
+    squared norms: per zero-padded CHUNK_ROWS tile x of points and block C of
+    at most CHUNK_ROWS centers, ((-2 C) @ x.T + p_sq) + c_sq, min over C. The
+    tile is the GEMM's fixed operand and C follows the centers alone, so a
+    point's bits do not depend on the pool."""
+    neg2c, c_sq = -2.0 * centers, np.einsum("ij,ij->i", centers, centers)
+    best = np.full(-(-points.shape[0] // CHUNK_ROWS) * CHUNK_ROWS, np.inf)
+    x, x_sq = np.zeros((CHUNK_ROWS, points.shape[1])), np.zeros(CHUNK_ROWS)
+    block = np.empty((min(CHUNK_ROWS, centers.shape[0]), CHUNK_ROWS))
+    for start in range(0, points.shape[0], CHUNK_ROWS):
+        n = min(CHUNK_ROWS, points.shape[0] - start)
+        x[:n], x_sq[:n] = points[start:start + n], p_sq[start:start + n]
+        x[n:], x_sq[n:] = 0.0, 0.0
+        tile_best = best[start:start + CHUNK_ROWS]
+        for c in range(0, centers.shape[0], CHUNK_ROWS):
+            c_blk = neg2c[c:c + CHUNK_ROWS]
+            d2 = np.matmul(c_blk, x.T, out=block[:len(c_blk)])
+            d2 += x_sq
+            d2 += c_sq[c:c + CHUNK_ROWS, None]
+            np.minimum(tile_best, d2.min(axis=0), out=tile_best)
+    return np.sqrt(np.maximum(best[:points.shape[0]], 0.0))
 
 
 def select_kcenter(model: ModelState, dataset: Dataset, pool: PoolState,
@@ -236,8 +244,8 @@ def select_kcenter(model: ModelState, dataset: Dataset, pool: PoolState,
         raise ValueError("k-center needs a nonempty labeled set")
     feats = penultimate(model, dataset.features[pool.unlabeled])
     centers = penultimate(model, dataset.features[pool.labeled])
-    min_dist = _min_dist_to(feats, centers)
-    p_sq = (feats ** 2).sum(axis=1)
+    p_sq = np.einsum("ij,ij->i", feats, feats)
+    min_dist = _min_dist_to(feats, centers, p_sq)
     chosen, chosen_scores = [], []
     for _ in range(min(int(b), pool.unlabeled.size)):
         pick = int(np.argmax(min_dist))

@@ -1,6 +1,9 @@
 """From-scratch ReLU MLP: SGD training, softmax probabilities, and exact
 per-example gradient embeddings, all from one backprop loop (``_backward``).
 
+Inference runs on zero-padded CHUNK_ROWS-row tiles (``_tiled``), so a row's
+bits do not depend on the rows beside it and memory is one pass of tiles.
+
 Parameters live in one flat float64 vector laid out layer by layer as
 ``[W_0.ravel(), b_0, W_1.ravel(), b_1, ...]`` with each weight matrix shaped
 (fan_out, fan_in). The last-layer gradient embedding is therefore exactly
@@ -18,7 +21,8 @@ from .numerics import Rng
 LAST_LAYER = "last_layer"
 FULL = "full"
 SCOPES = (LAST_LAYER, FULL)
-CHUNK_ROWS = 256  # rows per streamed block (embeddings, k-center distances); fixes GEMM bits
+CHUNK_ROWS = 256  # rows per inference tile; a GEMM's per-row bits follow its row count, so fix it
+_TILES_PER_PASS = 4  # tiles per forward call: a pool of up to 1,024 rows takes one call
 
 
 @dataclass(frozen=True)
@@ -153,17 +157,33 @@ def _output_error(layers, x: np.ndarray, y=None, bufs=None):
     return acts, err
 
 
+def _tiled(features: np.ndarray, fn, *widths) -> list:
+    """Run ``fn`` over ``features`` in stacks of up to _TILES_PER_PASS
+    zero-padded (CHUNK_ROWS, d) tiles, a stacked matmul being one GEMM per
+    tile; fn maps a stack to per-row arrays, written into (n, width) arrays
+    (their leading columns if narrower), which are returned."""
+    features = np.atleast_2d(np.asarray(features, dtype=float))
+    outs = [np.empty((features.shape[0], w)) for w in widths]
+    for start in range(0, features.shape[0], _TILES_PER_PASS * CHUNK_ROWS):
+        x = features[start:start + _TILES_PER_PASS * CHUNK_ROWS]
+        stack = np.zeros((-(-len(x) // CHUNK_ROWS), CHUNK_ROWS, x.shape[1]))
+        stack.reshape(-1, x.shape[1])[:len(x)] = x
+        for out, a in zip(outs, fn(stack)):
+            out[start:start + len(x), :a.shape[-1]] = a.reshape(-1, a.shape[-1])[:len(x)]
+    return outs
+
+
 def predict_proba(model: ModelState, features: np.ndarray) -> np.ndarray:
     """Softmax class probabilities, one row per input row."""
-    _, logits = _forward(_layers(model.params, model.arch), np.atleast_2d(features))
-    return _softmax(logits)
+    layers = _layers(model.params, model.arch)
+    return _softmax(_tiled(features, lambda x: [_forward(layers, x)[1]], model.arch.n_classes)[0])
 
 
 def penultimate(model: ModelState, features: np.ndarray) -> np.ndarray:
     """Post-activation output of the last hidden layer (the input itself
     when the architecture has no hidden layers)."""
-    acts, _ = _forward(_layers(model.params, model.arch), np.atleast_2d(features))
-    return acts[-1]
+    layers = _layers(model.params, model.arch)
+    return _tiled(features, lambda x: [_forward(layers, x)[0][-1]], model.arch.penultimate_width)[0]
 
 
 def loss_mean(model: ModelState, dataset: Dataset, indices) -> float:
@@ -304,36 +324,34 @@ def last_layer_factors(model: ModelState, features: np.ndarray):
     gradients: row i's gradient is the outer product of err_i = softmax_i -
     onehot(y_i) with h1_i = [penultimate_i, 1], y_i the row's pseudo-label
     from the same softmax (argmax, lowest id on ties)."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    acts, err = _output_error(_layers(model.params, model.arch), features)
-    return err, np.concatenate([acts[-1], np.ones((features.shape[0], 1))], axis=1)
+    layers = _layers(model.params, model.arch)
+
+    def factors(x):
+        acts, err = _output_error(layers, x)
+        return err, acts[-1]
+    err, h1 = _tiled(features, factors, model.arch.n_classes, model.arch.penultimate_width + 1)
+    h1[:, -1] = 1.0
+    return err, h1
 
 
 def grad_embeddings(model: ModelState, features: np.ndarray, labels=None,
                     scope: str = LAST_LAYER) -> np.ndarray:
     """Per-example gradient embeddings for rows of ``features`` under the
     given labels (None: each row's pseudo-label, argmax, lowest id on ties),
-    one embedding per row, written CHUNK_ROWS rows at a time."""
+    one embedding per row, from one backprop pass over exactly these rows,
+    so one example's embedding has the bits of its ``mean_grad_embedding``."""
     arch = model.arch
     first, embedded = _scoped(arch, scope)
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    labels = _checked_labels(labels, arch.n_classes)
     w_layers = _layers(model.params, arch)
     out = np.empty((features.shape[0], embedded.n_params))
-    # forward over all rows at last-layer scope, per chunk at full scope: OpenBLAS's
-    # per-row results depend on the GEMM's row count, so moving either changes bits
-    span = max(features.shape[0], 1) if scope == LAST_LAYER else CHUNK_ROWS
-    for start in range(0, features.shape[0], span):
-        rows = slice(start, start + span)
-        acts, err = _output_error(w_layers, features[rows], None if labels is None else labels[rows])
-        for c in range(0, len(err), CHUNK_ROWS):
-            block = slice(c, c + CHUNK_ROWS)
-            g_layers = _layers(out[start + c:start + c + len(err[block])], embedded)
-            for i, delta, a in _backward(w_layers, [act[block] for act in acts], err[block], first):
-                gw, gb = g_layers[i - first]
-                # einsum, not multiply: it writes +0.0 where the product is -0.0
-                np.einsum("no,ni->noi", delta, a, out=gw)
-                gb[:] = delta
+    g_layers = _layers(out, embedded)
+    acts, err = _output_error(w_layers, features, _checked_labels(labels, arch.n_classes))
+    for i, delta, a in _backward(w_layers, acts, err, first):
+        gw, gb = g_layers[i - first]
+        # einsum, not multiply: it writes +0.0 where the product is -0.0
+        np.einsum("no,ni->noi", delta, a, out=gw)
+        gb[:] = delta
     return out
 
 

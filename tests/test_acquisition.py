@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -491,15 +492,29 @@ def test_full_scope_df_scores_holds_one_chunk_of_embeddings():
 
 # ------------------------------------------------------------ k-center
 
-def min_dist_reference(points, centers, chunk=256):
-    """``_min_dist_to`` written as one expression per center block."""
-    p_sq = (points ** 2).sum(axis=1)
-    best = np.full(points.shape[0], np.inf)
-    for start in range(0, centers.shape[0], chunk):
-        block = centers[start:start + chunk]
-        d2 = p_sq[:, None] - 2.0 * points @ block.T + (block ** 2).sum(axis=1)
-        np.minimum(best, d2.min(axis=1), out=best)
+def min_dist_reference(points, centers, tile=256):
+    """``_min_dist_to`` written out one step per line: per zero-padded
+    256-row tile x of points and block C of at most 256 centers, the squared
+    distances are ((-2 C) @ x.T + p_sq) + c_sq, min over the centers."""
+    p_sq = np.einsum("ij,ij->i", points, points)
+    c_sq = np.einsum("ij,ij->i", centers, centers)
+    best = np.full(len(points), np.inf)
+    for start in range(0, len(points), tile):
+        n = min(tile, len(points) - start)
+        x = np.zeros((tile, points.shape[1]))
+        x[:n] = points[start:start + n]
+        x_sq = np.zeros(tile)
+        x_sq[:n] = p_sq[start:start + n]
+        for c in range(0, len(centers), tile):
+            product = (-2.0 * centers[c:c + tile]) @ x.T
+            with_points = product + x_sq[None, :]
+            d2 = with_points + c_sq[c:c + tile, None]
+            best[start:start + n] = np.minimum(best[start:start + n], d2.min(axis=0)[:n])
     return np.sqrt(np.maximum(best, 0.0))
+
+
+def _sq_norms(x):
+    return np.einsum("ij,ij->i", x, x)
 
 
 def kcenter_reference(feats, min_dist, b):
@@ -531,7 +546,7 @@ def test_min_dist_to_equals_reference_bitwise_over_two_blocks():
     ds, model, pool = two_block_kcenter_fixture()
     feats = penultimate(model, ds.features[pool.unlabeled])
     centers = penultimate(model, ds.features[pool.labeled])
-    got = _min_dist_to(feats, centers)
+    got = _min_dist_to(feats, centers, _sq_norms(feats))
     assert got.tobytes() == min_dist_reference(feats, centers).tobytes()
 
 
@@ -545,15 +560,16 @@ def test_select_kcenter_equals_reference_bitwise_over_two_blocks():
     assert np.array(batch.scores).tobytes() == np.array(scores).tobytes()
 
 
-def test_select_kcenter_memory_is_one_distance_block():
+def test_select_kcenter_memory_is_one_tile_beside_the_features():
     # 500 centers: a 256-center block, then a 244-center one
     ds = make_blobs(3_500, 3, 4, spread=1.0, seed=2)
     arch = ArchSpec(input_dim=4, n_classes=3, hidden_widths=(8,))
     model = init_model(arch, 0)
     pool = PoolState(np.arange(500), np.arange(500, 3_500))
     n = pool.unlabeled.size
-    # one (|U|, 256) distance block with slack, plus the pool's forward pass
-    bound = n * 256 * 8 * 1.5 + n * (4 + 8 + 3) * 8
+    # one 256 x 256 distance tile with slack, the pool's inputs and (|U|, 8)
+    # features, four per-row vectors, and one pass of 1,024 padded rows
+    bound = 256 * 256 * 8 * 1.5 + n * (4 + 8 + 4) * 8 + 1_024 * (4 + 8 + 8 + 3) * 8
     tracemalloc.start()
     try:
         select_kcenter(model, ds, pool, b=20)
@@ -598,15 +614,13 @@ def _screen_pool(kind):
     ("random", 26), ("random", 40),
 ])
 def test_select_kcenter_screen_equals_reference_bitwise(kind, b):
-    # a net without hidden layers keeps the features; "random" takes b = |U| and b > |U|.
-    # The picks start from _min_dist_to's distances: where products are subnormal,
-    # min_dist_reference's (2 points) @ centers rounds unlike 2 (points @ centers).
+    # a net without hidden layers keeps the features; "random" takes b = |U| and b > |U|
     x, n_labeled = _screen_pool(kind)
     ds = Dataset(x, np.arange(len(x)) % 2, 2)
     model = init_model(ArchSpec(input_dim=x.shape[1], n_classes=2, hidden_widths=()), 0)
     pool = PoolState(np.arange(n_labeled), np.arange(n_labeled, len(x)))
     feats = x[n_labeled:]
-    rows, scores = kcenter_reference(feats, _min_dist_to(feats, x[:n_labeled]), b)
+    rows, scores = kcenter_reference(feats, min_dist_reference(feats, x[:n_labeled]), b)
     batch = select_kcenter(model, ds, pool, b)
     assert np.array_equal(batch.indices, pool.unlabeled[rows])
     assert np.array(batch.scores).tobytes() == np.array(scores).tobytes()
@@ -739,3 +753,92 @@ def test_timed_select_returns_batch_and_time():
     batch, seconds = timed_select("entropy", model, ds, pool, 4, Rng(0))
     assert batch.indices.size == 4
     assert seconds >= 0.0
+
+
+# ------------------------------------------------------------ pool independence
+
+POOL_NETS = {"10-64-32-4": (10, (64, 32), 4), "10-512-256-4": (10, (512, 256), 4),
+             "20-128-64-10": (20, (128, 64), 10)}
+POOL_CHECKS = ("predict_proba", "pseudo_labels", "pseudo_label", "penultimate",
+               "last_layer_factors", "df_scores-last_layer", "df_scores-full",
+               "min_dist-20", "min_dist-500")
+
+
+@functools.lru_cache(maxsize=None)
+def pool_net_fixture(net):
+    """(dataset, model, 1,000-row pool): rows 0-499 are centers and labeled."""
+    d, widths, c = POOL_NETS[net]
+    ds = make_blobs(1_500, c, d, spread=1.0, seed=6)
+    model = init_model(ArchSpec(input_dim=d, n_classes=c, hidden_widths=widths), 3)
+    return ds, model, np.arange(500, 1_500)
+
+
+def _per_row(check, ds, model):
+    """The check's outputs, one row per dataset index of the given rows."""
+    if check.startswith("min_dist"):
+        centers = penultimate(model, ds.features[:int(check.split("-")[1])])
+        feats = penultimate(model, ds.features)
+        return lambda idx: _min_dist_to(feats[idx], centers, _sq_norms(feats[idx]))
+    if check.startswith("df_scores"):
+        scope = check.split("-")[1]
+        return lambda idx: df_scores(model, ds, np.arange(30), idx, scope=scope)
+    if check == "last_layer_factors":
+        return lambda idx: np.hstack(last_layer_factors(model, ds.features[idx]))
+    fn = {"predict_proba": predict_proba, "pseudo_labels": pseudo_labels,
+          "penultimate": penultimate}[check]
+    return lambda idx: fn(model, ds.features[idx])
+
+
+@pytest.mark.parametrize("check", POOL_CHECKS)
+@pytest.mark.parametrize("net", POOL_NETS)
+def test_a_points_outputs_do_not_depend_on_its_pool(net, check):
+    # every pool-scale pass runs on zero-padded 256-row tiles, so a row gets
+    # the same bits alone, in 37 rows, in 1,000 rows and in any order
+    ds, model, pool = pool_net_fixture(net)
+    perm = np.random.default_rng(0).permutation(pool.size)
+    if check == "pseudo_label":
+        whole = pseudo_labels(model, ds.features[pool])
+        assert all(pseudo_label(model, ds.features[pool[i]]) == whole[i] for i in perm[:37])
+        return
+    fn = _per_row(check, ds, model)
+    whole = fn(pool)
+    assert fn(pool[perm]).tobytes() == whole[perm].tobytes()
+    assert fn(pool[perm[:37]]).tobytes() == whole[perm[:37]].tobytes()
+    for i in perm[:5]:
+        assert fn(pool[[i]]).tobytes() == whole[[i]].tobytes()
+
+
+def test_select_entropy_memory_is_one_pass_of_tiles():
+    # the default net: a whole pool's activations, 20,000 x 768 values, would be 123 MB
+    ds = make_blobs(20_100, 4, 10, spread=1.0, seed=1)
+    model = init_model(ArchSpec(input_dim=10, n_classes=4), 0)
+    pool = PoolState(np.arange(100), np.arange(100, 20_100))
+    n = pool.unlabeled.size
+    # one pass of 1,024 padded rows with slack; the gathered inputs, the
+    # probabilities and the entropy's temporaries
+    bound = 1.5 * 1_024 * (10 + 512 + 256 + 4) * 8 + n * (10 + 4 * 4) * 8
+    tracemalloc.start()
+    try:
+        select_entropy(model, ds, pool, b=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
+def test_select_badge_memory_is_its_factors_and_one_pass_of_tiles():
+    ds = make_blobs(20_100, 4, 10, spread=1.0, seed=1)
+    model = init_model(ArchSpec(input_dim=10, n_classes=4), 0)
+    pool = PoolState(np.arange(100), np.arange(100, 20_100))
+    n = pool.unlabeled.size
+    # one pass of 1,024 padded rows with slack; the gathered inputs, the
+    # factors err (4 wide) and h1 (257 wide), k-means++'s squares of both,
+    # and a few per-row vectors
+    bound = 1.5 * 1_024 * (10 + 512 + 256 + 4) * 8 + n * (10 + 2 * (4 + 257) + 8) * 8
+    tracemalloc.start()
+    try:
+        select_badge(model, ds, pool, b=20, rng=Rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound

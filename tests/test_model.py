@@ -514,14 +514,12 @@ def _reference_full_embeddings(model, x, y=None):
     return out
 
 
-def _reference_embeddings(model, x, y, scope, chunk=256):
-    """Embeddings as separate code paths compute them: at last-layer scope
-    the closed form from one forward pass over all rows, at full scope
-    backprop per chunk of rows."""
+def _reference_embeddings(model, x, y, scope):
+    """Embeddings as separate code paths compute them from one forward pass
+    over all rows: at last-layer scope the closed form, at full scope
+    backprop written out."""
     if scope == FULL:
-        return np.concatenate([
-            _reference_full_embeddings(model, x[i:i + chunk], None if y is None else y[i:i + chunk])
-            for i in range(0, len(x), chunk)])
+        return _reference_full_embeddings(model, x, y)
     w_layers = _layers(model.params, model.arch)
     acts, err = _output_error(w_layers, x, y)
     h1 = np.concatenate([acts[-1], np.ones((len(x), 1))], axis=1)
@@ -536,7 +534,7 @@ def _reference_embeddings(model, x, y, scope, chunk=256):
 @pytest.mark.parametrize("scope", [LAST_LAYER, FULL])
 @pytest.mark.parametrize("labeled", [False, True])
 def test_grad_embeddings_equal_reference_bitwise(scope, labeled):
-    # 300 rows: two chunks, so the forward pass's row count matters
+    # 300 rows, more than one 256-row tile: both sides run one pass over all of them
     ds = make_blobs(300, 10, 20, spread=1.0, seed=3)
     arch = ArchSpec(input_dim=20, n_classes=10, hidden_widths=(128, 64))
     m = train(init_model(arch, 7), ds, np.arange(40), TrainConfig(learning_rate=0.05, epochs=3))
