@@ -19,6 +19,7 @@ from .model import (
     CHUNK_ROWS,
     LAST_LAYER,
     ModelState,
+    _tiled,
     grad_embedding,
     grad_embeddings,
     grad_products,
@@ -92,11 +93,10 @@ def df_score(model: ModelState, dataset: Dataset, labeled, x_index: int,
 def df_scores(model: ModelState, dataset: Dataset, labeled, candidate_indices,
               scope: str = LAST_LAYER) -> np.ndarray:
     """Vectorized df_score over many candidates, the reference mean computed
-    once. Squared distances come from ``grad_products``, one zero-padded
-    CHUNK_ROWS tile of candidates at a time, so no per-example gradient is
-    formed. Near 0 they cancel to a residue of order eps ||g||^2: as in
-    ``_factored_sq_dists``, negatives are clipped and rows within it are
-    rescored exactly, each from its own embedding."""
+    once. Squared distances come from ``grad_products``, so no per-example
+    gradient is formed. Near 0 they cancel to a residue of order
+    eps ||g||^2: as in ``_factored_sq_dists``, negatives are clipped and rows
+    within it are rescored exactly, each from its own embedding."""
     labeled = np.asarray(labeled, dtype=np.int64)
     if labeled.size == 0:
         raise ValueError("labeled set must be nonempty")
@@ -104,18 +104,12 @@ def df_scores(model: ModelState, dataset: Dataset, labeled, candidate_indices,
     ref = mean_grad_embedding(model, dataset, labeled, scope=scope)
     ref_sq = ref @ ref
     factor = labeled.size / (labeled.size + 1.0)
-    scores = np.empty(candidate_indices.size)
-    for start in range(0, candidate_indices.size, CHUNK_ROWS):
-        x = dataset.features[candidate_indices[start:start + CHUNK_ROWS]]
-        tile = x if len(x) == CHUNK_ROWS else np.pad(x, ((0, CHUNK_ROWS - len(x)), (0, 0)))
-        sq, dot = (v[:len(x)] for v in grad_products(model, tile, ref, scope))
-        d2 = np.maximum(sq - 2.0 * dot + ref_sq, 0.0)
-        near = np.flatnonzero(d2 <= 1e-9 * (sq + ref_sq))
-        chunk = scores[start:start + len(x)]
-        np.multiply(factor, np.sqrt(d2), out=chunk)
-        for i in near:  # one row per call, so no row's bits follow how many are near 0
-            chunk[i] = df_scores_from_embeddings(
-                ref, grad_embeddings(model, x[[i]], scope=scope), labeled.size)[0]
+    sq, dot = grad_products(model, dataset.features, ref, scope, rows=candidate_indices)
+    d2 = np.maximum(sq - 2.0 * dot + ref_sq, 0.0)
+    scores = factor * np.sqrt(d2)
+    for i in np.flatnonzero(d2 <= 1e-9 * (sq + ref_sq)):  # one row per call, as alone
+        scores[i] = df_scores_from_embeddings(ref, grad_embeddings(
+            model, dataset.features[candidate_indices[[i]]], scope=scope), labeled.size)[0]
     return scores
 
 
@@ -171,7 +165,7 @@ def _factored_sq_dists(a: np.ndarray, b: np.ndarray, sq: np.ndarray, c: int) -> 
 def kmeans_pp_indices(points, k: int, rng: Rng) -> list:
     """k-means++ seeding over rows of ``points``: first center uniform, each
     next center drawn with probability proportional to the squared distance
-    to the nearest chosen center. Returns row indices in selection order.
+    to the nearest chosen center. Returns min(k, n) row indices in order.
 
     ``points`` is a 2-D array or a factor pair ``(a, b)`` of rows a_i (x) b_i
     (a last-layer gradient is err (x) [h, 1]): a center costs O(n(|a| + |b|)).
@@ -180,16 +174,14 @@ def kmeans_pp_indices(points, k: int, rng: Rng) -> list:
     falls back to a uniform draw among not-yet-chosen rows.
     """
     a, b = points if isinstance(points, tuple) else (points, np.ones((len(points), 1)))
-    sq = (a * a).sum(axis=1) * (b * b).sum(axis=1)
+    # b's squares are summed per tile, so no (n, |b|) temporary as large as b is formed
+    sq = (a * a).sum(axis=1) * _tiled(b, lambda t: [(t * t).sum(axis=1)], ())[0]
     n = a.shape[0]
-    k = min(int(k), n)
-    first = int(rng.integers(0, n))
-    chosen = [first]
-    d2 = _factored_sq_dists(a, b, sq, first)
-    while len(chosen) < k:
+    chosen, d2 = [], np.full(n, np.inf)
+    while len(chosen) < min(int(k), n):
         total = float(d2.sum())
-        if total <= 0.0:
-            remaining = np.setdiff1d(np.arange(n), np.array(chosen, dtype=np.int64))
+        if not chosen or total <= 0.0:  # the first center, or a duplicate-only rest: uniform
+            remaining = np.delete(np.arange(n), chosen)
             nxt = int(remaining[rng.integers(0, remaining.size)])
         else:
             nxt = int(rng.choice(n, p=d2 / total))
@@ -210,28 +202,25 @@ def select_badge(model: ModelState, dataset: Dataset, pool: PoolState, b: int,
     return AcquisitionBatch(indices=pool.unlabeled[rows], method="badge", scores=None)
 
 
-def _min_dist_to(points: np.ndarray, centers: np.ndarray, p_sq: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest center, p_sq the points'
-    squared norms: per zero-padded CHUNK_ROWS tile x of points and block C of
-    at most CHUNK_ROWS centers, ((-2 C) @ x.T + p_sq) + c_sq, min over C. The
-    tile is the GEMM's fixed operand and C follows the centers alone, so a
-    point's bits do not depend on the pool."""
+def _min_dist_to(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Distance from each point to its nearest center: per ``_tiled`` tile x
+    of points, with squared norms x_sq, and block C of at most CHUNK_ROWS
+    centers, ((-2 C) @ x.T + x_sq) + c_sq, min over C, in one reused block.
+    The tile is the GEMM's fixed operand and C follows the centers alone, so
+    a point's bits do not depend on the pool."""
     neg2c, c_sq = -2.0 * centers, np.einsum("ij,ij->i", centers, centers)
-    best = np.full(-(-points.shape[0] // CHUNK_ROWS) * CHUNK_ROWS, np.inf)
-    x, x_sq = np.zeros((CHUNK_ROWS, points.shape[1])), np.zeros(CHUNK_ROWS)
     block = np.empty((min(CHUNK_ROWS, centers.shape[0]), CHUNK_ROWS))
-    for start in range(0, points.shape[0], CHUNK_ROWS):
-        n = min(CHUNK_ROWS, points.shape[0] - start)
-        x[:n], x_sq[:n] = points[start:start + n], p_sq[start:start + n]
-        x[n:], x_sq[n:] = 0.0, 0.0
-        tile_best = best[start:start + CHUNK_ROWS]
+
+    def nearest(x):
+        x_sq, best = np.einsum("ij,ij->i", x, x), np.full(len(x), np.inf)
         for c in range(0, centers.shape[0], CHUNK_ROWS):
             c_blk = neg2c[c:c + CHUNK_ROWS]
             d2 = np.matmul(c_blk, x.T, out=block[:len(c_blk)])
             d2 += x_sq
             d2 += c_sq[c:c + CHUNK_ROWS, None]
-            np.minimum(tile_best, d2.min(axis=0), out=tile_best)
-    return np.sqrt(np.maximum(best[:points.shape[0]], 0.0))
+            np.minimum(best, d2.min(axis=0), out=best)
+        return [best]
+    return np.sqrt(np.maximum(_tiled(points, nearest, ())[0], 0.0))
 
 
 def select_kcenter(model: ModelState, dataset: Dataset, pool: PoolState,
@@ -244,8 +233,8 @@ def select_kcenter(model: ModelState, dataset: Dataset, pool: PoolState,
         raise ValueError("k-center needs a nonempty labeled set")
     feats = penultimate(model, dataset.features[pool.unlabeled])
     centers = penultimate(model, dataset.features[pool.labeled])
+    min_dist = _min_dist_to(feats, centers)
     p_sq = np.einsum("ij,ij->i", feats, feats)
-    min_dist = _min_dist_to(feats, centers, p_sq)
     chosen, chosen_scores = [], []
     for _ in range(min(int(b), pool.unlabeled.size)):
         pick = int(np.argmax(min_dist))

@@ -144,7 +144,6 @@ def load_csv(path, label_column: str) -> Dataset:
         if label_column not in header:
             raise ColumnError(f"{path}: label column {label_column!r} not in header")
         label_idx = header.index(label_column)
-        feature_names = [h for i, h in enumerate(header) if i != label_idx]
         rows, raw_labels = [], []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):

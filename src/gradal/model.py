@@ -1,8 +1,9 @@
 """From-scratch ReLU MLP: SGD training, softmax probabilities, and exact
 per-example gradient embeddings, all from one backprop loop (``_backward``).
 
-Inference runs on zero-padded CHUNK_ROWS-row tiles (``_tiled``), so a row's
-bits do not depend on the rows beside it and memory is one pass of tiles.
+Inference and the factored grad scores run one zero-padded CHUNK_ROWS-row
+tile at a time (``_tiled``), so a row's bits do not depend on the rows beside
+it and memory is one tile's activations.
 
 Parameters live in one flat float64 vector laid out layer by layer as
 ``[W_0.ravel(), b_0, W_1.ravel(), b_1, ...]`` with each weight matrix shaped
@@ -22,7 +23,6 @@ LAST_LAYER = "last_layer"
 FULL = "full"
 SCOPES = (LAST_LAYER, FULL)
 CHUNK_ROWS = 256  # rows per inference tile; a GEMM's per-row bits follow its row count, so fix it
-_TILES_PER_PASS = 4  # tiles per forward call: a pool of up to 1,024 rows takes one call
 
 
 @dataclass(frozen=True)
@@ -157,33 +157,34 @@ def _output_error(layers, x: np.ndarray, y=None, bufs=None):
     return acts, err
 
 
-def _tiled(features: np.ndarray, fn, *widths) -> list:
-    """Run ``fn`` over ``features`` in stacks of up to _TILES_PER_PASS
-    zero-padded (CHUNK_ROWS, d) tiles, a stacked matmul being one GEMM per
-    tile; fn maps a stack to per-row arrays, written into (n, width) arrays
-    (their leading columns if narrower), which are returned."""
+def _tiled(features: np.ndarray, fn, *shapes, rows=None) -> list:
+    """Run ``fn`` on ``features[rows]`` (every row if None) one zero-padded
+    (CHUNK_ROWS, d) tile at a time, gathered into one reused buffer; fn maps
+    a tile to per-row arrays, whose real rows go into the returned
+    (len(rows), *shape) arrays, one per shape."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    outs = [np.empty((features.shape[0], w)) for w in widths]
-    for start in range(0, features.shape[0], _TILES_PER_PASS * CHUNK_ROWS):
-        x = features[start:start + _TILES_PER_PASS * CHUNK_ROWS]
-        stack = np.zeros((-(-len(x) // CHUNK_ROWS), CHUNK_ROWS, x.shape[1]))
-        stack.reshape(-1, x.shape[1])[:len(x)] = x
-        for out, a in zip(outs, fn(stack)):
-            out[start:start + len(x), :a.shape[-1]] = a.reshape(-1, a.shape[-1])[:len(x)]
+    rows = np.arange(len(features)) if rows is None else rows
+    outs = [np.empty((len(rows), *shape)) for shape in shapes]
+    tile = np.zeros((CHUNK_ROWS, features.shape[1]))
+    for start in range(0, len(rows), CHUNK_ROWS):
+        m = min(CHUNK_ROWS, len(rows) - start)
+        tile[:m], tile[m:] = features[rows[start:start + m]], 0.0
+        for out, a in zip(outs, fn(tile)):
+            out[start:start + m] = a[:m]
     return outs
 
 
 def predict_proba(model: ModelState, features: np.ndarray) -> np.ndarray:
     """Softmax class probabilities, one row per input row."""
     layers = _layers(model.params, model.arch)
-    return _softmax(_tiled(features, lambda x: [_forward(layers, x)[1]], model.arch.n_classes)[0])
+    return _softmax(_tiled(features, lambda x: [_forward(layers, x)[1]], (model.arch.n_classes,))[0])
 
 
 def penultimate(model: ModelState, features: np.ndarray) -> np.ndarray:
     """Post-activation output of the last hidden layer (the input itself
     when the architecture has no hidden layers)."""
     layers = _layers(model.params, model.arch)
-    return _tiled(features, lambda x: [_forward(layers, x)[0][-1]], model.arch.penultimate_width)[0]
+    return _tiled(features, lambda x: [_forward(layers, x)[0][-1]], (model.arch.penultimate_width,))[0]
 
 
 def loss_mean(model: ModelState, dataset: Dataset, indices) -> float:
@@ -328,10 +329,8 @@ def last_layer_factors(model: ModelState, features: np.ndarray):
 
     def factors(x):
         acts, err = _output_error(layers, x)
-        return err, acts[-1]
-    err, h1 = _tiled(features, factors, model.arch.n_classes, model.arch.penultimate_width + 1)
-    h1[:, -1] = 1.0
-    return err, h1
+        return err, np.hstack((acts[-1], np.ones((len(x), 1))))
+    return tuple(_tiled(features, factors, (model.arch.n_classes,), (model.arch.penultimate_width + 1,)))
 
 
 def grad_embeddings(model: ModelState, features: np.ndarray, labels=None,
@@ -374,22 +373,26 @@ def mean_grad_embedding(model: ModelState, dataset: Dataset, indices,
 
 
 def grad_products(model: ModelState, features: np.ndarray, ref: np.ndarray,
-                  scope: str = LAST_LAYER):
-    """(||g_x||^2, g_x . ref) per row of ``features``, g_x its pseudo-labeled
-    gradient embedding and ``ref`` a flat embedding of the scope, from one
-    backprop pass without forming g_x: layer i's block of g_x is
-    delta_i (x) [a_i, 1], so ||g_x||^2 sums ||delta_i||^2 (||a_i||^2 + 1) and
-    g_x . ref sums delta_i . (R_i a_i + rho_i) over ref's blocks (R_i, rho_i)
-    (Goodfellow 2015, arXiv:1510.01799). Memory is O(rows x widest layer)."""
+                  scope: str = LAST_LAYER, rows=None):
+    """(||g_x||^2, g_x . ref) per row of ``features`` (of ``features[rows]``
+    if given), g_x its pseudo-labeled gradient embedding and ``ref`` a flat
+    embedding of the scope, from one backprop pass per ``_tiled`` tile
+    without forming g_x: layer i's block of g_x is delta_i (x) [a_i, 1], so
+    ||g_x||^2 sums ||delta_i||^2 (||a_i||^2 + 1) and g_x . ref sums
+    delta_i . (R_i a_i + rho_i) over ref's blocks (R_i, rho_i) (Goodfellow
+    2015, arXiv:1510.01799). Memory is one tile's activations and deltas."""
     arch = model.arch
     first, embedded = _scoped(arch, scope)
     w_layers, r_layers = _layers(model.params, arch), _layers(ref, embedded)
-    acts, err = _output_error(w_layers, np.atleast_2d(np.asarray(features, dtype=float)))
-    sq, dot = np.zeros(len(err)), np.zeros(len(err))
-    for i, delta, a in _backward(w_layers, acts, err, first):
-        r_w, r_b = r_layers[i - first]
-        proj = a @ r_w.T
-        proj += r_b
-        sq += np.einsum("ij,ij->i", delta, delta) * (np.einsum("ij,ij->i", a, a) + 1.0)
-        dot += np.einsum("ij,ij->i", delta, proj)
-    return sq, dot
+
+    def products(x):
+        acts, err = _output_error(w_layers, x)
+        sq, dot = np.zeros(len(x)), np.zeros(len(x))
+        for i, delta, a in _backward(w_layers, acts, err, first):
+            r_w, r_b = r_layers[i - first]
+            proj = a @ r_w.T
+            proj += r_b
+            sq += np.einsum("ij,ij->i", delta, delta) * (np.einsum("ij,ij->i", a, a) + 1.0)
+            dot += np.einsum("ij,ij->i", delta, proj)
+        return sq, dot
+    return tuple(_tiled(features, products, (), (), rows=rows))

@@ -513,10 +513,6 @@ def min_dist_reference(points, centers, tile=256):
     return np.sqrt(np.maximum(best, 0.0))
 
 
-def _sq_norms(x):
-    return np.einsum("ij,ij->i", x, x)
-
-
 def kcenter_reference(feats, min_dist, b):
     """Farthest-first picks from ``min_dist``, each pick's distances
     written as one expression: (rows, scores)."""
@@ -546,7 +542,7 @@ def test_min_dist_to_equals_reference_bitwise_over_two_blocks():
     ds, model, pool = two_block_kcenter_fixture()
     feats = penultimate(model, ds.features[pool.unlabeled])
     centers = penultimate(model, ds.features[pool.labeled])
-    got = _min_dist_to(feats, centers, _sq_norms(feats))
+    got = _min_dist_to(feats, centers)
     assert got.tobytes() == min_dist_reference(feats, centers).tobytes()
 
 
@@ -567,9 +563,9 @@ def test_select_kcenter_memory_is_one_tile_beside_the_features():
     model = init_model(arch, 0)
     pool = PoolState(np.arange(500), np.arange(500, 3_500))
     n = pool.unlabeled.size
-    # one 256 x 256 distance tile with slack, the pool's inputs and (|U|, 8)
-    # features, four per-row vectors, and one pass of 1,024 padded rows
-    bound = 256 * 256 * 8 * 1.5 + n * (4 + 8 + 4) * 8 + 1_024 * (4 + 8 + 8 + 3) * 8
+    # one 256 x 256 distance block with slack, the pool's inputs and (|U|, 8)
+    # features, four per-row vectors, and one tile of 256 padded rows
+    bound = 256 * 256 * 8 * 1.5 + n * (4 + 8 + 4) * 8 + 256 * (4 + 8 + 8 + 3) * 8
     tracemalloc.start()
     try:
         select_kcenter(model, ds, pool, b=20)
@@ -725,6 +721,14 @@ def test_selectors_clamp_batch_to_pool():
         assert batch.indices.size == 3, method
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_selectors_return_an_empty_batch_from_an_empty_pool(method):
+    ds, model, pool = fitted_fixture()
+    empty = PoolState(pool.labeled, np.array([], dtype=np.int64))
+    batch = select_batch(method, model, ds, empty, b=5, rng=Rng(0, method))
+    assert batch.indices.size == 0 and batch.method == method
+
+
 def test_selectors_ignore_true_pool_labels():
     # oracle honesty: corrupting unlabeled labels must not change selection
     ds, model, pool = fitted_fixture()
@@ -778,7 +782,7 @@ def _per_row(check, ds, model):
     if check.startswith("min_dist"):
         centers = penultimate(model, ds.features[:int(check.split("-")[1])])
         feats = penultimate(model, ds.features)
-        return lambda idx: _min_dist_to(feats[idx], centers, _sq_norms(feats[idx]))
+        return lambda idx: _min_dist_to(feats[idx], centers)
     if check.startswith("df_scores"):
         scope = check.split("-")[1]
         return lambda idx: df_scores(model, ds, np.arange(30), idx, scope=scope)
@@ -814,9 +818,9 @@ def test_select_entropy_memory_is_one_pass_of_tiles():
     model = init_model(ArchSpec(input_dim=10, n_classes=4), 0)
     pool = PoolState(np.arange(100), np.arange(100, 20_100))
     n = pool.unlabeled.size
-    # one pass of 1,024 padded rows with slack; the gathered inputs, the
+    # one tile of 256 padded rows with slack; the gathered inputs, the
     # probabilities and the entropy's temporaries
-    bound = 1.5 * 1_024 * (10 + 512 + 256 + 4) * 8 + n * (10 + 4 * 4) * 8
+    bound = 1.5 * 256 * (10 + 512 + 256 + 4) * 8 + n * (10 + 4 * 4) * 8
     tracemalloc.start()
     try:
         select_entropy(model, ds, pool, b=20)
@@ -831,10 +835,10 @@ def test_select_badge_memory_is_its_factors_and_one_pass_of_tiles():
     model = init_model(ArchSpec(input_dim=10, n_classes=4), 0)
     pool = PoolState(np.arange(100), np.arange(100, 20_100))
     n = pool.unlabeled.size
-    # one pass of 1,024 padded rows with slack; the gathered inputs, the
-    # factors err (4 wide) and h1 (257 wide), k-means++'s squares of both,
-    # and a few per-row vectors
-    bound = 1.5 * 1_024 * (10 + 512 + 256 + 4) * 8 + n * (10 + 2 * (4 + 257) + 8) * 8
+    # one tile of 256 padded rows with slack; the gathered inputs, the
+    # factors err (4 wide) and h1 (257 wide), and a dozen per-row vectors:
+    # k-means++'s squared norms are row sums per tile, not an (n, 257) square
+    bound = 1.5 * 256 * (10 + 512 + 256 + 4) * 8 + n * (10 + 4 + 257 + 12) * 8
     tracemalloc.start()
     try:
         select_badge(model, ds, pool, b=20, rng=Rng(0))

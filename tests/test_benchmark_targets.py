@@ -5,6 +5,7 @@ break a benchmark run then fails here."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -60,3 +61,39 @@ def test_benchmark_import_resolves(module, name):
     obj = importlib.import_module(module)
     if not hasattr(obj, name):  # ``from gradal import cli`` names a submodule
         importlib.import_module(f"{module}.{name}")
+
+
+def bound_argument_reads():
+    """(span name, argument name) for each ``args["..."]`` that an extractor
+    bound through the wrapped function's signature reads, from the tracer's
+    ``EXTRACTORS`` and extractor functions, read without importing it."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"), filename=str(TRACER))
+    [table] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "EXTRACTORS" for t in node.targets)]
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    found = []
+    for key, value in zip(table.keys, table.values):
+        extractor, binds = value.elts
+        if not ast.literal_eval(binds):
+            continue
+        fn = functions[extractor.id]
+        args = fn.args.args[0].arg
+        found += [(key.value, node.slice.value) for node in ast.walk(fn)
+                  if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                  and node.value.id == args]
+    return sorted(set(found))
+
+
+def test_the_bound_extractors_read_arguments():
+    assert {span for span, _ in bound_argument_reads()} >= {
+        "model.train", "model.mean_grad_embedding", "acquisition.select_batch",
+        "cli.write_json", "cli.write_table"}
+
+
+@pytest.mark.parametrize("span, arg", bound_argument_reads(), ids=lambda v: v)
+def test_bound_argument_is_a_parameter(span, arg):
+    # the tracer binds a call's arguments to the wrapped function's signature,
+    # so a renamed parameter would break the traced run, not a gradal test
+    module, attr = span.split(".", 1)
+    fn = getattr(importlib.import_module(f"gradal.{module}"), attr)
+    assert arg in inspect.signature(fn).parameters, f"gradal.{span} has no parameter {arg!r}"
