@@ -34,6 +34,7 @@ METHODS = ("grad", "entropy", "badge", "kcenter", "random")
 # k-center's screen: the expanded squared distance is off from the exact one by about (H + 3) eps
 # (p_sq_i + p_sq_c), far below this margin, or by H subnormal spacings, far below finfo.tiny
 _SCREEN_MARGIN = 1e-8
+_BOUND_CENTERS = 64  # k-center bounds every pool row by its distance to this many labeled centers
 
 
 @dataclass
@@ -143,7 +144,7 @@ def select_entropy(model: ModelState, dataset: Dataset, pool: PoolState,
     """Top-b unlabeled points by predictive entropy."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    scores = entropy_scores(predict_proba(model, dataset.features[pool.unlabeled]))
+    scores = entropy_scores(predict_proba(model, dataset.features, rows=pool.unlabeled))
     chosen, chosen_scores = _top_b(pool.unlabeled, scores, b)
     return AcquisitionBatch(indices=chosen, method="entropy",
                             scores=[float(s) for s in chosen_scores])
@@ -197,17 +198,17 @@ def select_badge(model: ModelState, dataset: Dataset, pool: PoolState, b: int,
     selection order."""
     if b < 1:
         raise ValueError("b must be >= 1")
-    factors = last_layer_factors(model, dataset.features[pool.unlabeled])
+    factors = last_layer_factors(model, dataset.features, rows=pool.unlabeled)
     rows = kmeans_pp_indices(factors, b, rng)
     return AcquisitionBatch(indices=pool.unlabeled[rows], method="badge", scores=None)
 
 
-def _min_dist_to(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Distance from each point to its nearest center: per ``_tiled`` tile x
-    of points, with squared norms x_sq, and block C of at most CHUNK_ROWS
-    centers, ((-2 C) @ x.T + x_sq) + c_sq, min over C, in one reused block.
-    The tile is the GEMM's fixed operand and C follows the centers alone, so
-    a point's bits do not depend on the pool."""
+def _min_dist_to(points: np.ndarray, centers: np.ndarray, rows=None) -> np.ndarray:
+    """Distance from each point of ``points[rows]`` (all if None) to its
+    nearest center: per ``_tiled`` tile x of points, with squared norms x_sq,
+    and block C of at most CHUNK_ROWS centers, ((-2 C) @ x.T + x_sq) + c_sq,
+    min over C, in one reused block. The tile is the GEMM's fixed operand and
+    C follows the centers alone, so a point's bits do not depend on the pool."""
     neg2c, c_sq = -2.0 * centers, np.einsum("ij,ij->i", centers, centers)
     block = np.empty((min(CHUNK_ROWS, centers.shape[0]), CHUNK_ROWS))
 
@@ -220,23 +221,15 @@ def _min_dist_to(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
             d2 += c_sq[c:c + CHUNK_ROWS, None]
             np.minimum(best, d2.min(axis=0), out=best)
         return [best]
-    return np.sqrt(np.maximum(_tiled(points, nearest, ())[0], 0.0))
+    return np.sqrt(np.maximum(_tiled(points, nearest, (), rows=rows)[0], 0.0))
 
 
-def select_kcenter(model: ModelState, dataset: Dataset, pool: PoolState,
-                   b: int) -> AcquisitionBatch:
-    """Greedy farthest-first coverage in penultimate feature space, seeded
-    by the labeled set; ties go to the lowest dataset index."""
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    if pool.labeled.size == 0:
-        raise ValueError("k-center needs a nonempty labeled set")
-    feats = penultimate(model, dataset.features[pool.unlabeled])
-    centers = penultimate(model, dataset.features[pool.labeled])
-    min_dist = _min_dist_to(feats, centers)
+def _farthest_first(feats: np.ndarray, min_dist: np.ndarray, b: int):
+    """``b`` farthest-first picks over the rows of ``feats`` from their
+    nearest-center distances ``min_dist``, updated in place: (rows, scores)."""
     p_sq = np.einsum("ij,ij->i", feats, feats)
     chosen, chosen_scores = [], []
-    for _ in range(min(int(b), pool.unlabeled.size)):
+    for _ in range(b):
         pick = int(np.argmax(min_dist))
         chosen.append(pick)
         chosen_scores.append(float(min_dist[pick]))
@@ -248,7 +241,42 @@ def select_kcenter(model: ModelState, dataset: Dataset, pool: PoolState,
         d = np.sqrt(np.maximum(((feats[rows] - feats[pick]) ** 2).sum(axis=1), 0.0))
         min_dist[rows] = np.minimum(min_dist[rows], d)
         min_dist[pick] = -1.0  # never re-pick
-    return AcquisitionBatch(indices=pool.unlabeled[chosen], method="kcenter", scores=chosen_scores)
+    return chosen, chosen_scores
+
+
+def select_kcenter(model: ModelState, dataset: Dataset, pool: PoolState,
+                   b: int) -> AcquisitionBatch:
+    """Greedy farthest-first coverage in penultimate feature space, seeded by
+    the labeled set; ties go to the lowest dataset index. Picks from the m
+    rows farthest from ``_BOUND_CENTERS`` strided centers stand if the last
+    beats every such bound left out; else m grows fourfold from max(1024, 4b)."""
+    if b < 1:
+        raise ValueError("b must be >= 1")
+    if pool.labeled.size == 0:
+        raise ValueError("k-center needs a nonempty labeled set")
+    unlabeled = np.sort(pool.unlabeled)  # in dataset order: argmax ties go to the lowest index
+    feats = penultimate(model, dataset.features, rows=unlabeled)
+    centers = penultimate(model, dataset.features, rows=np.sort(pool.labeled))
+    n, m, b = len(feats), max(4 * CHUNK_ROWS, 4 * int(b)), min(int(b), len(feats))
+    min_dist, done = np.empty(n), np.zeros(n, dtype=bool)  # exact distances of the rows in done
+    if m < n:  # bounds from strided centers; the margin covers another block's rounding
+        ub = _min_dist_to(feats, centers[::-(-len(centers) // _BOUND_CENTERS)]) ** 2
+        c_max = np.einsum("ij,ij->i", centers, centers).max()  # non-finite if any center is
+        ub += _SCREEN_MARGIN * (ub + np.einsum("ij,ij->i", feats, feats) + c_max) + np.finfo(float).tiny
+    while m < n and np.isfinite(ub).all():
+        part = np.argpartition(ub, n - m - 1)  # ub[part[n - m - 1]] is the largest bound left out
+        keep, cut = np.sort(part[n - m:]), ub[part[n - m - 1]]
+        new = keep[~done[keep]]
+        min_dist[new], done[new] = _min_dist_to(feats, centers, new), True
+        # the b-th pick's score is at most the b-th largest distance: skip picks that cannot stand
+        if np.partition(min_dist[keep], m - b)[m - b] ** 2 > cut:
+            rows, scores = _farthest_first(feats[keep], min_dist[keep], b)
+            if scores[-1] ** 2 > cut:  # strict, so no tie crosses it
+                return AcquisitionBatch(indices=unlabeled[keep[rows]], method="kcenter", scores=scores)
+        m *= 4
+    min_dist[~done] = _min_dist_to(feats, centers, np.flatnonzero(~done))
+    rows, scores = _farthest_first(feats, min_dist, b)
+    return AcquisitionBatch(indices=unlabeled[rows], method="kcenter", scores=scores)
 
 
 def select_random(pool: PoolState, b: int, rng: Rng) -> AcquisitionBatch:

@@ -104,7 +104,7 @@ def evaluate_accuracy(model, dataset: Dataset, test) -> float:
     test = np.asarray(test, dtype=np.int64)
     if test.size == 0:
         raise ValueError("test set must be nonempty")
-    pred = np.argmax(predict_proba(model, dataset.features[test]), axis=1)
+    pred = np.argmax(predict_proba(model, dataset.features, rows=test), axis=1)
     return float(np.mean(pred == dataset.labels[test]))
 
 

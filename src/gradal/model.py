@@ -174,17 +174,17 @@ def _tiled(features: np.ndarray, fn, *shapes, rows=None) -> list:
     return outs
 
 
-def predict_proba(model: ModelState, features: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities, one row per input row."""
-    layers = _layers(model.params, model.arch)
-    return _softmax(_tiled(features, lambda x: [_forward(layers, x)[1]], (model.arch.n_classes,))[0])
+def predict_proba(model: ModelState, features: np.ndarray, rows=None) -> np.ndarray:
+    """Softmax class probabilities per row of ``features[rows]`` (all if None)."""
+    layers, width = _layers(model.params, model.arch), model.arch.n_classes
+    return _softmax(_tiled(features, lambda x: [_forward(layers, x)[1]], (width,), rows=rows)[0])
 
 
-def penultimate(model: ModelState, features: np.ndarray) -> np.ndarray:
-    """Post-activation output of the last hidden layer (the input itself
-    when the architecture has no hidden layers)."""
-    layers = _layers(model.params, model.arch)
-    return _tiled(features, lambda x: [_forward(layers, x)[0][-1]], (model.arch.penultimate_width,))[0]
+def penultimate(model: ModelState, features: np.ndarray, rows=None) -> np.ndarray:
+    """Post-activation output of the last hidden layer (the input itself if
+    there is none) per row of ``features[rows]`` (all if None)."""
+    layers, width = _layers(model.params, model.arch), model.arch.penultimate_width
+    return _tiled(features, lambda x: [_forward(layers, x)[0][-1]], (width,), rows=rows)[0]
 
 
 def loss_mean(model: ModelState, dataset: Dataset, indices) -> float:
@@ -263,7 +263,7 @@ def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
     """
     params = np.array(params, dtype=float)
     labeled = np.asarray(labeled, dtype=np.int64)
-    shuffles = [Rng(seed, "shuffle") for seed in seeds]
+    shuffles = {seed: Rng(seed, "shuffle") for seed in seeds}  # one draw per distinct seed
     diverged = np.full(len(params), -1)
     n = labeled.shape[1]
     rates = np.reshape(learning_rate, (-1, 1))
@@ -275,8 +275,8 @@ def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
         _stack_grad(w_layers, g_layers, x, y, bufs)
     for epoch in range(epochs):
         if minibatch_size:
-            orders = [s.derive(f"epoch{epoch}").permutation(n) for s in shuffles]
-            rows = np.take_along_axis(labeled, np.stack(orders), axis=1)
+            orders = {k: s.derive(f"epoch{epoch}").permutation(n) for k, s in shuffles.items()}
+            rows = np.take_along_axis(labeled, np.stack([orders[seed] for seed in seeds]), axis=1)
         for start in range(0, n, minibatch_size or n):
             if minibatch_size:
                 batch = rows[:, start:start + minibatch_size]
@@ -320,17 +320,17 @@ def _checked_labels(labels, n_classes: int):
     return labels
 
 
-def last_layer_factors(model: ModelState, features: np.ndarray):
-    """One forward pass to the factor pair ``(err, h1)`` of last-layer
-    gradients: row i's gradient is the outer product of err_i = softmax_i -
-    onehot(y_i) with h1_i = [penultimate_i, 1], y_i the row's pseudo-label
-    from the same softmax (argmax, lowest id on ties)."""
-    layers = _layers(model.params, model.arch)
+def last_layer_factors(model: ModelState, features: np.ndarray, rows=None):
+    """One forward pass over ``features[rows]`` (all if None) to the factor
+    pair ``(err, h1)`` of last-layer gradients: row i's gradient is the outer
+    product of err_i = softmax_i - onehot(y_i) with h1_i = [penultimate_i, 1],
+    y_i the row's pseudo-label from the same softmax (argmax, lowest id on ties)."""
+    layers, arch = _layers(model.params, model.arch), model.arch
 
     def factors(x):
         acts, err = _output_error(layers, x)
         return err, np.hstack((acts[-1], np.ones((len(x), 1))))
-    return tuple(_tiled(features, factors, (model.arch.n_classes,), (model.arch.penultimate_width + 1,)))
+    return tuple(_tiled(features, factors, (arch.n_classes,), (arch.penultimate_width + 1,), rows=rows))
 
 
 def grad_embeddings(model: ModelState, features: np.ndarray, labels=None,

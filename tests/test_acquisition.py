@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gradal import acquisition
 from gradal.acquisition import (
     METHODS,
     AcquisitionBatch,
     _factored_sq_dists,
+    _farthest_first,
     _min_dist_to,
     df_score,
     df_scores,
@@ -622,6 +624,127 @@ def test_select_kcenter_screen_equals_reference_bitwise(kind, b):
     assert np.array(batch.scores).tobytes() == np.array(scores).tobytes()
 
 
+def _large_screen_pool(kind, n=3_000):
+    """(features, labeled count) for k-center pools of ``n`` rows, 100 of
+    them labeled, so that the distance bounds come from every other center:
+    ``_screen_pool``'s kinds at scale, and "one-sided"."""
+    rng, n_labeled = np.random.default_rng(12), 100
+    if kind == "duplicates":
+        return rng.normal(size=(300, 8))[rng.integers(0, 300, size=n)], n_labeled
+    if kind == "identical":
+        x = np.full((n, 3), 2.5)
+        x[:n_labeled] = 0.0
+        return x, n_labeled
+    if kind == "tiny-far":
+        x = rng.normal(size=(n, 4)) * 1e-6
+        x[:n_labeled] = rng.normal(size=(n_labeled, 4)) * 1e3
+        return x, n_labeled
+    if kind == "offset":
+        return rng.normal(size=(n, 4)) * 1e-5 + 1e4, n_labeled
+    if kind == "underflow":
+        return rng.integers(-3, 4, size=(n, 3)) * 1e-161, n_labeled
+    if kind == "random":
+        return rng.normal(size=(n, 8)), n_labeled
+    # "one-sided": centers at 0, 1, ..., 99 on a line and the pool near them, so rows near an
+    # odd center are bounded at about 1 by the even ones; every 29th row sits 0.5 to one side
+    # and is farther than them all, so the first m rows of largest bound do not certify
+    x = np.zeros((n, 2))
+    x[:n_labeled, 0] = np.arange(n_labeled)
+    x[n_labeled:, 0] = rng.integers(0, n_labeled, size=n - n_labeled)
+    x[n_labeled:] += rng.normal(size=(n - n_labeled, 2)) * 1e-3
+    x[n_labeled::29, 1] += 0.5
+    return x, n_labeled
+
+
+def _counted_min_dist_to(monkeypatch):
+    """The point counts of every ``_min_dist_to`` call from here on."""
+    calls = []
+
+    def counted(points, centers, rows=None):
+        calls.append(len(points) if rows is None else len(rows))
+        return _min_dist_to(points, centers, rows)
+    monkeypatch.setattr(acquisition, "_min_dist_to", counted)
+    return calls
+
+
+def _assert_kcenter_is_reference(x, n_labeled, b):
+    # a net without hidden layers keeps the features
+    ds = Dataset(x, np.arange(len(x)) % 2, 2)
+    model = init_model(ArchSpec(input_dim=x.shape[1], n_classes=2, hidden_widths=()), 0)
+    pool = PoolState(np.arange(n_labeled), np.arange(n_labeled, len(x)))
+    feats = x[n_labeled:]
+    rows, scores = kcenter_reference(feats, min_dist_reference(feats, x[:n_labeled]), b)
+    batch = select_kcenter(model, ds, pool, b)
+    assert np.array_equal(batch.indices, pool.unlabeled[rows])
+    assert np.array(batch.scores).tobytes() == np.array(scores).tobytes()
+
+
+@pytest.mark.parametrize("b", [1, 20, 300, 1_500])
+@pytest.mark.parametrize("kind", ["duplicates", "identical", "tiny-far", "offset", "underflow",
+                                  "random", "one-sided"])
+def test_select_kcenter_bounded_pool_equals_reference_bitwise(kind, b):
+    # the rows left out by the bounds can never be picked, or the pool falls back to every row
+    _assert_kcenter_is_reference(*_large_screen_pool(kind), b)
+
+
+def test_select_kcenter_retries_until_the_picks_are_certified(monkeypatch):
+    # 1,024 rows of largest bound hold no row 0.5 off the line; 4,096 hold them all. The first
+    # attempt's 20th largest distance cannot beat the bounds left out, so it makes no picks, and
+    # the second computes distances only for the 3,072 rows the first did not
+    calls, picks, farthest_first = _counted_min_dist_to(monkeypatch), [], _farthest_first
+    monkeypatch.setattr(acquisition, "_farthest_first",
+                        lambda feats, *args: picks.append(len(feats)) or farthest_first(feats, *args))
+    _assert_kcenter_is_reference(*_large_screen_pool("one-sided", n=5_000), 20)
+    assert calls == [4_900, 1_024, 3_072]
+    assert picks == [4_096]
+
+
+def test_select_kcenter_non_finite_features_take_every_row(monkeypatch):
+    ds = make_blobs(3_100, 3, 4, spread=1.0, seed=4)
+    model = init_model(ArchSpec(input_dim=4, n_classes=3, hidden_widths=(8,)), 0)
+    model.params[0] = np.nan  # hidden unit 0 is NaN on every row
+    pool = PoolState(np.arange(100), np.arange(100, 3_100))
+    feats = penultimate(model, ds.features[pool.unlabeled])
+    centers = penultimate(model, ds.features[pool.labeled])
+    # kcenter_reference would re-pick rows (np.minimum(-1, NaN) is NaN), so the reference here
+    # is the pick loop over every row
+    rows, scores = _farthest_first(feats, min_dist_reference(feats, centers), 20)
+    calls = _counted_min_dist_to(monkeypatch)
+    batch = select_kcenter(model, ds, pool, b=20)
+    assert calls == [3_000, 3_000]  # the bounds, then every row exactly
+    assert np.array_equal(batch.indices, pool.unlabeled[rows])
+    assert np.array(batch.scores).tobytes() == np.array(scores).tobytes()
+
+
+@pytest.mark.parametrize("n_pool", [1_024, 1_025])
+def test_select_kcenter_bounds_only_pools_above_four_tiles(monkeypatch, n_pool):
+    ds = make_blobs(n_pool + 300, 3, 4, spread=1.0, seed=5)
+    model = init_model(ArchSpec(input_dim=4, n_classes=3, hidden_widths=(8,)), 0)
+    calls = _counted_min_dist_to(monkeypatch)
+    select_kcenter(model, ds, PoolState(np.arange(300), np.arange(300, n_pool + 300)), b=20)
+    if n_pool == 1_024:
+        assert calls == [1_024]
+    else:
+        assert calls[:2] == [1_025, 1_024]
+
+
+def test_select_kcenter_does_not_depend_on_pool_order():
+    # points at 0, 5, 5, 1 with 0 labeled: the tie at 5 goes to index 1 in any pool order
+    x = np.array([[0.0], [5.0], [5.0], [1.0]])
+    ds = Dataset(x, np.array([0, 1, 0, 1]), 2)
+    model = init_model(ArchSpec(input_dim=1, n_classes=2, hidden_widths=()), 0)
+    for order in ([1, 2, 3], [3, 2, 1], [2, 3, 1]):
+        batch = select_kcenter(model, ds, PoolState(np.array([0]), np.array(order)), b=1)
+        assert batch.indices.tolist() == [1], order
+    ds, model, pool = two_block_kcenter_fixture()
+    rng = np.random.default_rng(5)
+    want = select_kcenter(model, ds, pool, b=40)
+    got = select_kcenter(model, ds, PoolState(rng.permutation(pool.labeled),
+                                              rng.permutation(pool.unlabeled)), b=40)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array(got.scores).tobytes() == np.array(want.scores).tobytes()
+
+
 def test_kcenter_line_example():
     # penultimate space == input space when there are no hidden layers;
     # points at 0, 1, 2, 10 with only 0 labeled: farthest-first takes 10, then 2
@@ -818,9 +941,9 @@ def test_select_entropy_memory_is_one_pass_of_tiles():
     model = init_model(ArchSpec(input_dim=10, n_classes=4), 0)
     pool = PoolState(np.arange(100), np.arange(100, 20_100))
     n = pool.unlabeled.size
-    # one tile of 256 padded rows with slack; the gathered inputs, the
-    # probabilities and the entropy's temporaries
-    bound = 1.5 * 256 * (10 + 512 + 256 + 4) * 8 + n * (10 + 4 * 4) * 8
+    # one tile of 256 padded rows with slack; the probabilities and the
+    # entropy's temporaries; the pool's inputs are read per tile, not gathered
+    bound = 1.5 * 256 * (10 + 512 + 256 + 4) * 8 + n * (4 * 4) * 8
     tracemalloc.start()
     try:
         select_entropy(model, ds, pool, b=20)
@@ -835,10 +958,10 @@ def test_select_badge_memory_is_its_factors_and_one_pass_of_tiles():
     model = init_model(ArchSpec(input_dim=10, n_classes=4), 0)
     pool = PoolState(np.arange(100), np.arange(100, 20_100))
     n = pool.unlabeled.size
-    # one tile of 256 padded rows with slack; the gathered inputs, the
-    # factors err (4 wide) and h1 (257 wide), and a dozen per-row vectors:
-    # k-means++'s squared norms are row sums per tile, not an (n, 257) square
-    bound = 1.5 * 256 * (10 + 512 + 256 + 4) * 8 + n * (10 + 4 + 257 + 12) * 8
+    # one tile of 256 padded rows with slack; the factors err (4 wide) and h1
+    # (257 wide), and a dozen per-row vectors: k-means++'s squared norms are
+    # row sums per tile, not an (n, 257) square; the inputs are not gathered
+    bound = 1.5 * 256 * (10 + 512 + 256 + 4) * 8 + n * (4 + 257 + 12) * 8
     tracemalloc.start()
     try:
         select_badge(model, ds, pool, b=20, rng=Rng(0))
@@ -846,3 +969,26 @@ def test_select_badge_memory_is_its_factors_and_one_pass_of_tiles():
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+@pytest.mark.parametrize("method", ["entropy", "kcenter", "badge"])
+def test_selectors_read_the_pool_inputs_per_tile(method):
+    # 256-wide inputs: a gathered copy of the 4,000-row pool's would be 8.2 MB
+    ds = make_blobs(4_100, 3, 256, spread=1.0, seed=1)
+    model = init_model(ArchSpec(input_dim=256, n_classes=3, hidden_widths=(8,)), 0)
+    pool = PoolState(np.arange(100), np.arange(100, 4_100))
+    tracemalloc.start()
+    try:
+        select_batch(method, model, ds, pool, b=20, rng=Rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pool.unlabeled.size * 256 * 8 / 4
+
+
+@pytest.mark.parametrize("fn", [predict_proba, penultimate, last_layer_factors])
+def test_inference_by_rows_equals_inference_on_the_gathered_rows(fn):
+    ds, model, pool = fitted_fixture(n=600)
+    rows = np.random.default_rng(3).permutation(pool.unlabeled)[:300]
+    got, want = fn(model, ds.features, rows=rows), fn(model, ds.features[rows])
+    assert np.hstack(got).tobytes() == np.hstack(want).tobytes()

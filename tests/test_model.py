@@ -252,6 +252,24 @@ def test_train_stack_rows_match_separate_train_calls():
         assert np.array_equal(params[m], alone.params), m
 
 
+def test_train_stack_draws_each_distinct_seeds_shuffle_once_an_epoch(monkeypatch):
+    # rows 0, 2 and 3 share seed 5 and so its permutation: 2 draws an epoch, not 4
+    ds = tiny_dataset(n=60)
+    arch = tiny_arch()
+    cfg = TrainConfig(learning_rate=0.05, epochs=3, minibatch_size=4, seed=0)
+    inits = [init_model(arch, s) for s in range(4)]
+    labeled = [np.arange(s, 60, 4)[:13] for s in range(4)]
+    seeds = [5, 7, 5, 5]
+    draws, permutation = [], Rng.permutation
+    monkeypatch.setattr(Rng, "permutation", lambda rng, n: draws.append(rng.label) or permutation(rng, n))
+    params, _ = train_stack(arch, [m.params for m in inits], labeled, seeds, ds, *_stack_args(cfg))
+    assert len(draws) == 2 * cfg.epochs
+    monkeypatch.undo()
+    for m in range(4):
+        alone = train(inits[m], ds, labeled[m], replace(cfg, seed=seeds[m]))
+        assert np.array_equal(params[m], alone.params), m
+
+
 @pytest.mark.parametrize("minibatch_size", [4, 0])
 def test_train_stack_per_row_rates_match_separate_train_calls(minibatch_size):
     ds = tiny_dataset(n=60)
