@@ -17,10 +17,9 @@ from .model import (
     FULL,
     SCOPES,
     ArchSpec,
-    ModelState,
+    _grad_pass,
     diverged_error,
     init_model,
-    mean_grad_embedding,
     train_stack,
 )
 from .numerics import Rng, derive_seed, l2_norm
@@ -130,13 +129,17 @@ def run_contraction_trace(cfg: ContractionConfig, dataset: Dataset,
     arch = ArchSpec(input_dim=dataset.n_features, n_classes=dataset.n_classes,
                     hidden_widths=tuple(cfg.hidden_widths))
     df_norms = np.empty(cfg.epochs)
+    # passes over S_J and S (run in minibatch mode only) at the monitor's
+    # copy of the stack's params, each gathered and bound once
+    current = np.empty((1, arch.n_params))
+    s_j_grad, s_grad = (_grad_pass(arch, current, dataset.features[rows][None],
+                                   dataset.labels[rows][None], cfg.scope) for rows in (s_j, s))
 
     def monitor(epoch, params, grad):
-        snapshot = ModelState(params=params[0], arch=arch)
-        g_sj = mean_grad_embedding(snapshot, dataset, s_j, scope=cfg.scope)
+        current[:] = params
+        g_sj = s_j_grad()[0]
         # a full-batch step's gradient over S is mean_grad(S); the scope's part trails
-        g_s = (grad[0][-g_sj.size:] if grad is not None
-               else mean_grad_embedding(snapshot, dataset, s, scope=cfg.scope))
+        g_s = grad[0][-g_sj.size:] if grad is not None else s_grad()[0]
         df_norms[epoch] = l2_norm(g_s - g_sj)
 
     init = init_model(arch, seed=derive_seed(cfg.seed, "init")).params

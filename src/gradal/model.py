@@ -1,5 +1,7 @@
 """From-scratch ReLU MLP: SGD training, softmax probabilities, and exact
-per-example gradient embeddings, all from one backprop loop (``_backward``).
+per-example gradient embeddings, all from one backprop loop (``_backward``)
+in a ``_Workspace``, the reused buffers of one batch shape: ``train_stack``
+keeps one per shape, so no SGD step allocates activations or deltas.
 
 Inference and the factored grad scores run one zero-padded CHUNK_ROWS-row
 tile at a time (``_tiled``), so a row's bits do not depend on the rows beside
@@ -121,39 +123,71 @@ def init_model(arch: ArchSpec, seed: int) -> ModelState:
     return ModelState(params=params, arch=arch)
 
 
-def _forward(layers, x: np.ndarray, bufs=None):
+class _Workspace:
+    """Buffers reused by every pass over (*lead, d) batches at the views
+    ``w_layers``: each layer's output, which its delta overwrites on the way
+    back, the ReLU masks, the row max or sum, one-hot offsets, transposes."""
+
+    def __init__(self, w_layers, lead):
+        widths = [w.shape[-2] for w, _ in w_layers]
+        self.outs = [np.empty((*lead, k)) for k in widths]
+        self.masks = [np.empty((*lead, k), dtype=bool) for k in widths[:-1]]
+        self.row = np.empty(lead)
+        self.offsets = np.arange(0, self.row.size * widths[-1], widths[-1]).reshape(lead)
+        self.affine = [(np.swapaxes(w, -1, -2), b[..., None, :]) for w, b in w_layers]
+        self.outs_t = [np.swapaxes(out, -1, -2) for out in self.outs]
+
+
+def _forward(layers, x: np.ndarray, ws=None):
     """(per-layer activations including the input, logits) for ``_layers``
-    views; with a leading stack axis, row m runs model m on x[m]. Hidden
-    layer i writes its activations into bufs[i][0] when ``bufs`` is given."""
+    views, in the workspace ``ws`` (a fresh one if None); with a leading
+    stack axis, row m runs model m on x[m]."""
     acts = [np.asarray(x, dtype=float)]
+    ws = ws or _Workspace(layers, acts[0].shape[:-1])
     a = acts[0]
-    for i, (w, b) in enumerate(layers[:-1]):
-        a = np.matmul(a, np.swapaxes(w, -1, -2), out=None if bufs is None else bufs[i][0])
-        a += b[..., None, :]
-        acts.append(np.maximum(a, 0.0, out=a))
-    w, b = layers[-1]
-    return acts, a @ np.swapaxes(w, -1, -2) + b[..., None, :]
+    for i, (w_t, b) in enumerate(ws.affine):
+        a = np.matmul(a, w_t, out=ws.outs[i])
+        a += b
+        if i < len(layers) - 1:
+            acts.append(np.maximum(a, 0.0, out=a))
+    return acts, a
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _row_max(z: np.ndarray, out=None) -> np.ndarray:
+    """Max over the last axis by np.maximum, one column at a time: the
+    reduction's values, NaN where it has NaN (the sign bit may differ),
+    without its per-row loop, which costs 10x this on a few classes."""
+    out = np.maximum(z[..., 0], z[..., -1], out=out)
+    for j in range(1, z.shape[-1] - 1):
+        np.maximum(out, z[..., j], out=out)
+    return out
+
+
+def _softmax(logits: np.ndarray, out=None, row=None) -> np.ndarray:
+    """Softmax over the last axis into ``out`` (may be ``logits``), with the
+    row max, then the row sum, in ``row``; either is fresh if None."""
+    row = _row_max(logits, row)
+    e = np.subtract(logits, row[..., None], out=out)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, out=row)[..., None]
+    return e
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - _row_max(logits)[..., None]
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def _output_error(layers, x: np.ndarray, y=None, bufs=None):
-    """(activations, softmax - onehot(y)) from one forward pass; ``y`` None
-    takes each row's pseudo-label: the argmax, lowest class id on ties."""
-    acts, logits = _forward(layers, x, bufs)
-    err = _softmax(logits)
+def _output_error(layers, x: np.ndarray, y=None, ws=None):
+    """(activations, softmax - onehot(y)) from one forward pass in ``ws`` (a
+    fresh one if None), the error in its logits; ``y`` None takes each row's
+    pseudo-label: the argmax, lowest class id on ties."""
+    ws = ws or _Workspace(layers, np.shape(x)[:-1])
+    acts, err = _forward(layers, x, ws)
+    _softmax(err, err, ws.row)
     labels = np.argmax(err, axis=-1) if y is None else y
-    # 1 off each row's label entry, through a flat view of the fresh softmax
-    err.reshape(-1)[np.arange(0, err.size, err.shape[-1]) + np.ravel(labels)] -= 1.0
+    # 1 off each row's label entry, through a flat view of the softmax
+    err.reshape(-1)[ws.offsets + labels] -= 1.0
     return acts, err
 
 
@@ -177,14 +211,17 @@ def _tiled(features: np.ndarray, fn, *shapes, rows=None) -> list:
 def predict_proba(model: ModelState, features: np.ndarray, rows=None) -> np.ndarray:
     """Softmax class probabilities per row of ``features[rows]`` (all if None)."""
     layers, width = _layers(model.params, model.arch), model.arch.n_classes
-    return _softmax(_tiled(features, lambda x: [_forward(layers, x)[1]], (width,), rows=rows)[0])
+    ws = _Workspace(layers, (CHUNK_ROWS,))
+    logits = _tiled(features, lambda x: [_forward(layers, x, ws)[1]], (width,), rows=rows)[0]
+    return _softmax(logits, logits)
 
 
 def penultimate(model: ModelState, features: np.ndarray, rows=None) -> np.ndarray:
     """Post-activation output of the last hidden layer (the input itself if
     there is none) per row of ``features[rows]`` (all if None)."""
     layers, width = _layers(model.params, model.arch), model.arch.penultimate_width
-    return _tiled(features, lambda x: [_forward(layers, x)[0][-1]], (width,), rows=rows)[0]
+    ws = _Workspace(layers, (CHUNK_ROWS,))
+    return _tiled(features, lambda x: [_forward(layers, x, ws)[0][-1]], (width,), rows=rows)[0]
 
 
 def loss_mean(model: ModelState, dataset: Dataset, indices) -> float:
@@ -203,28 +240,32 @@ def diverged_error(epoch: int, learning_rate: float) -> ArithmeticError:
                            f"at learning rate {learning_rate:g}")
 
 
-def _backward(w_layers, acts, delta, stop: int = 0, bufs=None):
+def _backward(w_layers, acts, delta, stop: int, ws: _Workspace):
     """Yield (i, delta_i, acts[i]) from the last layer (delta_i = delta) down
     to layer ``stop``: layer i's weight gradient is delta_i (x) acts[i]. The
-    next delta, ReLU-masked delta_i @ W_i, goes into bufs[i - 1][1] if given."""
+    next delta, ReLU-masked delta_i @ W_i, then overwrites acts[i] in ``ws``."""
     for i in range(len(w_layers) - 1, stop - 1, -1):
         yield i, delta, acts[i]
         if i > stop:
-            delta = np.matmul(delta, w_layers[i][0], out=None if bufs is None else bufs[i - 1][1])
-            delta *= acts[i] > 0
+            mask = np.greater(acts[i], 0.0, out=ws.masks[i - 1])
+            delta = np.matmul(delta, w_layers[i][0], out=ws.outs[i - 1])
+            delta *= mask
 
 
-def _stack_grad(w_layers, g_layers, x: np.ndarray, y: np.ndarray, bufs=None, stop: int = 0):
+def _stack_grad(w_layers, g_layers, x: np.ndarray, y: np.ndarray, ws=None, stop: int = 0):
     """Write into the views ``g_layers`` the gradient of the mean
     cross-entropy over (x[m], y[m]) at stack row m's parameters ``w_layers``,
-    with respect to layers ``stop`` and up (layer i into g_layers[i - stop]);
-    hidden layer i's activations and deltas go into bufs[i][0] and bufs[i][1]."""
-    acts, delta = _output_error(w_layers, x, y, bufs)
+    with respect to layers ``stop`` and up (layer i into g_layers[i - stop]),
+    in ``ws``, a ``_Workspace`` of these views for x's shape (anything else,
+    such as None, runs on a fresh one)."""
+    if not isinstance(ws, _Workspace):
+        ws = _Workspace(w_layers, x.shape[:-1])
+    acts, delta = _output_error(w_layers, x, y, ws)
     delta /= x.shape[-2]
-    for i, delta, a in _backward(w_layers, acts, delta, stop, bufs):
+    for i, delta, a in _backward(w_layers, acts, delta, stop, ws):
         gw, gb = g_layers[i - stop]
-        np.matmul(np.swapaxes(delta, -1, -2), a, out=gw)
-        np.sum(delta, axis=-2, out=gb)
+        np.matmul(ws.outs_t[i], a, out=gw)
+        np.add.reduce(delta, axis=-2, out=gb)
 
 
 def _scoped(arch: ArchSpec, scope: str):
@@ -236,14 +277,25 @@ def _scoped(arch: ArchSpec, scope: str):
     return first, ArchSpec(arch.layer_sizes[first], arch.n_classes, arch.hidden_widths[first:])
 
 
+def _grad_pass(arch: ArchSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray,
+               scope: str = FULL):
+    """A call returning the scope's ``_stack_grad`` over (x, y) at the stack
+    ``params`` as they are then: views, workspace and gradient bound once."""
+    first, embedded = _scoped(arch, scope)
+    w_layers, grad = _layers(params, arch), np.empty((len(params), embedded.n_params))
+    g_layers, ws = _layers(grad, embedded), _Workspace(w_layers, x.shape[:-1])
+
+    def run():
+        _stack_grad(w_layers, g_layers, x, y, ws, first)
+        return grad
+    return run
+
+
 def _mean_grad(params: np.ndarray, arch: ArchSpec, x: np.ndarray, y: np.ndarray,
                scope: str = FULL) -> np.ndarray:
     """Gradient of the mean cross-entropy over (x, y) restricted to the
-    scope, flat layout: the one-row case of ``_stack_grad``."""
-    first, embedded = _scoped(arch, scope)
-    grad = np.empty((1, embedded.n_params))
-    _stack_grad(_layers(params[None], arch), _layers(grad, embedded), x[None], y[None], None, first)
-    return grad[0]
+    scope, flat layout: the one-row case of ``_grad_pass``."""
+    return _grad_pass(arch, params[None], x[None], y[None], scope)()[0]
 
 
 def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
@@ -254,7 +306,7 @@ def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
     count for all rows), reshuffled each epoch from seeds[m]; the last
     minibatch may be short, and minibatch_size 0 takes one full-batch step
     per epoch. ``learning_rate`` is one rate for all rows or an (M,) vector,
-    one per row. Minibatches are gathered from ``dataset`` by index. Rows
+    one per row. Each epoch's rows are gathered from ``dataset`` once. Rows
     share no arithmetic, so a row gets the bits it would get alone. After each
     epoch, ``on_epoch(epoch, params, grad)`` sees the stack and, in full-batch
     mode, the gradient at it that the next step takes (else None). Returns the
@@ -266,29 +318,32 @@ def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
     shuffles = {seed: Rng(seed, "shuffle") for seed in seeds}  # one draw per distinct seed
     diverged = np.full(len(params), -1)
     n = labeled.shape[1]
+    size = minibatch_size or n
     rates = np.reshape(learning_rate, (-1, 1))
-    velocity, grad = np.zeros_like(params), np.empty_like(params)
+    velocity, grad, step = np.zeros_like(params), np.empty_like(params), np.empty_like(params)
     w_layers, g_layers = _layers(params, arch), _layers(grad, arch)
-    if not minibatch_size:  # one gather, one gradient per step, buffers kept across steps
+    # one workspace per batch shape: a full minibatch and an epoch's short last one
+    spaces = {k: _Workspace(w_layers, (len(params), k)) for k in {min(size, n), (n - 1) % size + 1}}
+    if not minibatch_size:  # one gather, one gradient per step
         x, y = dataset.features[labeled], dataset.labels[labeled]
-        bufs = [np.empty((2, len(params), n, w)) for w in arch.hidden_widths]
-        _stack_grad(w_layers, g_layers, x, y, bufs)
+        _stack_grad(w_layers, g_layers, x, y, spaces[n])
     for epoch in range(epochs):
-        if minibatch_size:
+        if minibatch_size:  # one gather per epoch, in its shuffled order
             orders = {k: s.derive(f"epoch{epoch}").permutation(n) for k, s in shuffles.items()}
             rows = np.take_along_axis(labeled, np.stack([orders[seed] for seed in seeds]), axis=1)
-        for start in range(0, n, minibatch_size or n):
+            x, y = dataset.features[rows], dataset.labels[rows]
+        for start in range(0, n, size):
             if minibatch_size:
-                batch = rows[:, start:start + minibatch_size]
-                _stack_grad(w_layers, g_layers, dataset.features[batch], dataset.labels[batch])
+                xb = x[:, start:start + size]
+                _stack_grad(w_layers, g_layers, xb, y[:, start:start + size], spaces[xb.shape[1]])
             velocity *= momentum
             velocity += grad
-            params -= rates * velocity
+            params -= np.multiply(rates, velocity, out=step)
         diverged[(diverged < 0) & ~np.isfinite(params).all(axis=1)] = epoch
         if (diverged >= 0).all():
             break
         if not minibatch_size:
-            _stack_grad(w_layers, g_layers, x, y, bufs)
+            _stack_grad(w_layers, g_layers, x, y, spaces[n])
         if on_epoch is not None:
             on_epoch(epoch, params, None if minibatch_size else grad)
     return params, diverged
@@ -326,9 +381,10 @@ def last_layer_factors(model: ModelState, features: np.ndarray, rows=None):
     product of err_i = softmax_i - onehot(y_i) with h1_i = [penultimate_i, 1],
     y_i the row's pseudo-label from the same softmax (argmax, lowest id on ties)."""
     layers, arch = _layers(model.params, model.arch), model.arch
+    ws = _Workspace(layers, (CHUNK_ROWS,))
 
     def factors(x):
-        acts, err = _output_error(layers, x)
+        acts, err = _output_error(layers, x, None, ws)
         return err, np.hstack((acts[-1], np.ones((len(x), 1))))
     return tuple(_tiled(features, factors, (arch.n_classes,), (arch.penultimate_width + 1,), rows=rows))
 
@@ -344,9 +400,9 @@ def grad_embeddings(model: ModelState, features: np.ndarray, labels=None,
     features = np.atleast_2d(np.asarray(features, dtype=float))
     w_layers = _layers(model.params, arch)
     out = np.empty((features.shape[0], embedded.n_params))
-    g_layers = _layers(out, embedded)
-    acts, err = _output_error(w_layers, features, _checked_labels(labels, arch.n_classes))
-    for i, delta, a in _backward(w_layers, acts, err, first):
+    g_layers, ws = _layers(out, embedded), _Workspace(w_layers, features.shape[:-1])
+    acts, err = _output_error(w_layers, features, _checked_labels(labels, arch.n_classes), ws)
+    for i, delta, a in _backward(w_layers, acts, err, first, ws):
         gw, gb = g_layers[i - first]
         # einsum, not multiply: it writes +0.0 where the product is -0.0
         np.einsum("no,ni->noi", delta, a, out=gw)
@@ -384,11 +440,12 @@ def grad_products(model: ModelState, features: np.ndarray, ref: np.ndarray,
     arch = model.arch
     first, embedded = _scoped(arch, scope)
     w_layers, r_layers = _layers(model.params, arch), _layers(ref, embedded)
+    ws = _Workspace(w_layers, (CHUNK_ROWS,))
 
     def products(x):
-        acts, err = _output_error(w_layers, x)
+        acts, err = _output_error(w_layers, x, None, ws)
         sq, dot = np.zeros(len(x)), np.zeros(len(x))
-        for i, delta, a in _backward(w_layers, acts, err, first):
+        for i, delta, a in _backward(w_layers, acts, err, first, ws):
             r_w, r_b = r_layers[i - first]
             proj = a @ r_w.T
             proj += r_b

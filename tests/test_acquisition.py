@@ -526,7 +526,7 @@ def kcenter_reference(feats, min_dist, b):
         scores.append(float(min_dist[pick]))
         d = np.sqrt(np.maximum(((feats - feats[pick]) ** 2).sum(axis=1), 0.0))
         np.minimum(min_dist, d, out=min_dist)
-        min_dist[pick] = -1.0
+        min_dist[rows] = -1.0  # every pick, as np.minimum turns a -1 beside a NaN into NaN
     return rows, scores
 
 
@@ -706,9 +706,7 @@ def test_select_kcenter_non_finite_features_take_every_row(monkeypatch):
     pool = PoolState(np.arange(100), np.arange(100, 3_100))
     feats = penultimate(model, ds.features[pool.unlabeled])
     centers = penultimate(model, ds.features[pool.labeled])
-    # kcenter_reference would re-pick rows (np.minimum(-1, NaN) is NaN), so the reference here
-    # is the pick loop over every row
-    rows, scores = _farthest_first(feats, min_dist_reference(feats, centers), 20)
+    rows, scores = kcenter_reference(feats, min_dist_reference(feats, centers), 20)
     calls = _counted_min_dist_to(monkeypatch)
     batch = select_kcenter(model, ds, pool, b=20)
     assert calls == [3_000, 3_000]  # the bounds, then every row exactly

@@ -14,6 +14,7 @@ from gradal.model import (
     TrainConfig,
     _forward,
     _layers,
+    _log_softmax,
     _mean_grad,
     _output_error,
     _softmax,
@@ -586,6 +587,136 @@ def test_stack_grad_equals_reference_bitwise(with_bufs):
     bufs = [np.empty((2, 3, 40, w)) for w in arch.hidden_widths] if with_bufs else None
     _stack_grad(_layers(params, arch), _layers(got, arch), x, y, bufs)
     assert np.array_equal(got, expected)
+
+
+def _reference_softmax(logits):
+    """Softmax with the row max taken by the reduction."""
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _reference_log_softmax(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+def _awkward_logits(c, stacked):
+    """Random logits plus rows holding NaN, +-inf, tied maxima, signed zeros
+    and values that underflow beside the max, as (rows, c) or (4, rows, c)."""
+    rng = np.random.default_rng(c)
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e308, -1e308, 5.0]
+    rows = [rng.normal(size=c) * 10 for _ in range(20)]
+    for value in special:
+        for other in (0.0, -0.0, value, -800.0):
+            row = np.full(c, other)
+            row[rng.integers(c)] = value
+            rows.append(row)
+    rows += [np.full(c, 3.0), np.r_[-0.0, 0.0, np.full(c - 2, -1.0)],
+             np.r_[0.0, -0.0, np.full(c - 2, -1.0)], np.r_[np.full(c - 1, -0.0), 0.0]]
+    logits = np.array(rows)
+    return np.stack([logits, logits[::-1], logits[:, ::-1], -0.5 * logits]) if stacked else logits
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stack"])
+@pytest.mark.parametrize("c", [2, 3, 4, 10])
+def test_softmax_equals_reduction_form_bitwise(c, stacked):
+    logits = _awkward_logits(c, stacked)
+    with np.errstate(all="ignore"):
+        want = _reference_softmax(logits)
+        fresh = _softmax(logits)
+        in_place = logits.copy()
+        _softmax(in_place, in_place, np.empty(logits.shape[:-1]))
+        log_want = _reference_log_softmax(logits)
+        log_got = _log_softmax(logits)
+    assert fresh.tobytes() == want.tobytes()
+    assert in_place.tobytes() == want.tobytes()
+    assert log_got.tobytes() == log_want.tobytes()
+
+
+def test_softmax_of_a_negative_nan_equals_reduction_form_up_to_the_nan_sign():
+    # numpy's max reduction returns +NaN for a row that starts with a NaN of
+    # either sign, where np.maximum keeps the NaN it meets: the two softmaxes
+    # may differ in a NaN's sign bit, never in which entries are NaN
+    logits = np.array([[-np.nan, 1.0, 2.0], [1.0, -np.nan, 2.0], [1.0, 2.0, -np.nan]])
+    want, got = _reference_softmax(logits), _softmax(logits)
+    assert np.array_equal(np.isnan(got), np.isnan(want)) and np.isnan(got).all()
+    assert np.array_equal(_log_softmax(logits), _reference_log_softmax(logits), equal_nan=True)
+
+
+def test_predict_proba_and_loss_mean_equal_reduction_forms_bitwise():
+    ds = make_blobs(300, 10, 20, spread=1.0, seed=3)
+    arch = ArchSpec(input_dim=20, n_classes=10, hidden_widths=(32,))
+    m = init_model(arch, 4)
+    layers, rows = _layers(m.params, arch), np.arange(0, 300, 2)
+    # predict_proba runs 256-row tiles, whose logits carry their own bits
+    tile = np.zeros((256, 20))
+    tile[:150] = ds.features[rows]
+    logits = _forward(layers, tile)[1][:150]
+    assert predict_proba(m, ds.features, rows=rows).tobytes() == _reference_softmax(logits).tobytes()
+    logp = _reference_log_softmax(_forward(layers, ds.features[rows])[1])
+    assert loss_mean(m, ds, rows) == float(-logp[np.arange(150), ds.labels[rows]].mean())
+
+
+def _reference_train_stack(arch, params, labeled, seeds, ds, rates, momentum, minibatch_size,
+                           epochs):
+    """``train_stack`` as a plain loop: per epoch, each row's shuffle (none in
+    full-batch mode), then per minibatch a fresh gather, ``_reference_stack_grad``
+    and the momentum step written out."""
+    params, labeled = np.array(params, dtype=float), np.asarray(labeled)
+    velocity, grad = np.zeros_like(params), np.empty_like(params)
+    rates, n = np.reshape(rates, (-1, 1)), labeled.shape[1]
+    size, diverged = minibatch_size or n, np.full(len(params), -1)
+    for epoch in range(epochs):
+        rows = labeled
+        if minibatch_size:
+            orders = [Rng(seed, "shuffle").derive(f"epoch{epoch}").permutation(n) for seed in seeds]
+            rows = np.take_along_axis(labeled, np.stack(orders), axis=1)
+        for start in range(0, n, size):
+            batch = rows[:, start:start + size]
+            _reference_stack_grad(_layers(params, arch), _layers(grad, arch),
+                                  ds.features[batch], ds.labels[batch])
+            velocity = momentum * velocity + grad
+            params = params - rates * velocity
+        diverged[(diverged < 0) & ~np.isfinite(params).all(axis=1)] = epoch
+        if (diverged >= 0).all():
+            break
+    return params, diverged
+
+
+@pytest.mark.parametrize("minibatch_size, n", [(8, 30), (8, 32), (8, 5), (0, 30)],
+                         ids=["short-last", "even", "one-short-batch", "full-batch"])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+@pytest.mark.parametrize("rates", [0.05, (0.3, 0.05, 0.001, 0.02)], ids=["one-rate", "per-row"])
+def test_train_stack_equals_reference_loop_bitwise(minibatch_size, n, momentum, rates):
+    ds = make_blobs(160, 4, 10, spread=1.0, seed=2)
+    arch = ArchSpec(input_dim=10, n_classes=4, hidden_widths=(16, 8))
+    params = [init_model(arch, seed).params for seed in range(4)]
+    labeled = [np.arange(seed, 160, 4)[:n] for seed in range(4)]
+    args = (arch, params, labeled, [3, 5, 3, 7], ds, np.array(rates), momentum,
+            minibatch_size, 4)
+    got, diverged = train_stack(*args)
+    want, want_diverged = _reference_train_stack(*args)
+    assert diverged.tolist() == want_diverged.tolist() == [-1] * 4
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("minibatch_size", [4, 0])
+def test_train_stack_diverging_row_equals_reference_loop_bitwise(minibatch_size):
+    # row 1 trains on points scaled by 1e150 and overflows; NaN and inf bits must match too
+    base = make_blobs(80, 3, 4, spread=0.8, seed=2)
+    features = base.features.copy()
+    features[60:] *= 1e150
+    ds = Dataset(features, base.labels, 3)
+    arch = tiny_arch()
+    params = [init_model(arch, s).params for s in range(3)]
+    labeled = [np.arange(0, 30, 2), np.arange(60, 75), np.arange(1, 31, 2)]
+    args = (arch, params, labeled, [5, 6, 7], ds, 1e10, 0.9, minibatch_size, 6)
+    with np.errstate(all="ignore"):
+        got, diverged = train_stack(*args)
+        want, want_diverged = _reference_train_stack(*args)
+    assert diverged.tolist() == want_diverged.tolist()
+    assert diverged[1] >= 0 and diverged[0] == diverged[2] == -1
+    assert got.tobytes() == want.tobytes()
 
 
 def test_mean_grad_embedding_singleton():
