@@ -256,10 +256,8 @@ def _stack_grad(w_layers, g_layers, x: np.ndarray, y: np.ndarray, ws=None, stop:
     """Write into the views ``g_layers`` the gradient of the mean
     cross-entropy over (x[m], y[m]) at stack row m's parameters ``w_layers``,
     with respect to layers ``stop`` and up (layer i into g_layers[i - stop]),
-    in ``ws``, a ``_Workspace`` of these views for x's shape (anything else,
-    such as None, runs on a fresh one)."""
-    if not isinstance(ws, _Workspace):
-        ws = _Workspace(w_layers, x.shape[:-1])
+    in the ``_Workspace`` ``ws`` of these views for x's shape (fresh if None)."""
+    ws = ws or _Workspace(w_layers, x.shape[:-1])
     acts, delta = _output_error(w_layers, x, y, ws)
     delta /= x.shape[-2]
     for i, delta, a in _backward(w_layers, acts, delta, stop, ws):

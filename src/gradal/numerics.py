@@ -63,63 +63,14 @@ def l2_norm(v) -> float:
     return float(np.linalg.norm(np.asarray(v, dtype=float)))
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta (modified Lentz).
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-12:
-            break
-    return h
-
-
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) via continued fraction, accurate to ~1e-10."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cf(a, b, x) / a
-    return 1.0 - front * _beta_cf(b, a, 1.0 - x) / b
-
-
 def student_t_sf(t_stat: float, dof: int) -> float:
-    """Two-sided tail probability P(|T_dof| >= |t_stat|).
+    """Two-sided tail probability P(|T_dof| >= |t_stat|) at integer dof.
 
-    Uses the identity P(|T| >= t) = I_x(dof/2, 1/2) with
-    x = dof / (dof + t^2).
+    One minus the finite series for P(|T| < t) (Abramowitz & Stegun
+    26.7.3-4), with theta = atan(|t| / sqrt(dof)) and c = cos^2 theta:
+    2/pi (theta + sin cos (1 + 2/3 c + 2*4/(3*5) c^2 + ...)) at odd dof
+    (2 theta / pi at dof 1) and sin (1 + 1/2 c + 1*3/(2*4) c^2 + ...) at
+    even, the last factor being (dof-3)/(dof-2): O(dof) work.
     """
     t_stat = float(t_stat)
     if not math.isfinite(t_stat):
@@ -127,11 +78,17 @@ def student_t_sf(t_stat: float, dof: int) -> float:
     dof = int(dof)
     if dof < 1:
         raise ValueError("dof must be >= 1")
-    if t_stat == 0.0:
-        return 1.0
-    x = dof / (dof + t_stat * t_stat)
-    p = regularized_incomplete_beta(0.5 * dof, 0.5, x)
-    return min(max(p, 0.0), 1.0)
+    theta = math.atan2(abs(t_stat), math.sqrt(dof))
+    sin, cos = math.sin(theta), math.cos(theta)
+    term = total = 1.0
+    for k in range(dof % 2 + 2, dof - 1, 2):
+        term *= cos * cos * (k - 1) / k
+        total += term
+    if dof % 2 == 0:
+        inside = sin * total
+    else:
+        inside = 2.0 / math.pi * (theta + (sin * cos * total if dof > 1 else 0.0))
+    return min(max(1.0 - inside, 0.0), 1.0)
 
 
 def pca_project(points: np.ndarray, dims: int) -> np.ndarray:

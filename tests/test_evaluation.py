@@ -29,7 +29,7 @@ def test_t_test_matches_scipy_on_random_fixtures():
         t, p = paired_t_test(a, b)
         ref = scipy.stats.ttest_rel(a, b)
         assert t == pytest.approx(ref.statistic, abs=1e-6)
-        assert p == pytest.approx(ref.pvalue, abs=1e-6)
+        assert p == pytest.approx(ref.pvalue, abs=1e-14)
 
 
 def test_t_test_hand_formula_fixture():
@@ -39,7 +39,7 @@ def test_t_test_hand_formula_fixture():
     sd = np.sqrt(0.30 / 4)
     expected_t = mean / (sd / np.sqrt(5))
     assert t == pytest.approx(expected_t, abs=1e-9)
-    # two-sided p from the regularized incomplete beta
+    # oracle: two-sided p = I_x(dof/2, 1/2) at x = dof / (dof + t^2), dof = 4
     x = 4.0 / (4.0 + expected_t ** 2)
     assert p == pytest.approx(scipy.special.betainc(2.0, 0.5, x), abs=1e-6)
 

@@ -19,6 +19,7 @@ from gradal.model import (
     _output_error,
     _softmax,
     _stack_grad,
+    _Workspace,
     grad_embedding,
     grad_embeddings,
     init_model,
@@ -575,8 +576,8 @@ def _reference_stack_grad(w_layers, g_layers, x, y):
             delta *= acts[i] > 0
 
 
-@pytest.mark.parametrize("with_bufs", [False, True])
-def test_stack_grad_equals_reference_bitwise(with_bufs):
+@pytest.mark.parametrize("with_workspace", [False, True])
+def test_stack_grad_equals_reference_bitwise(with_workspace):
     ds = make_blobs(120, 4, 10, spread=1.0, seed=2)
     arch = ArchSpec(input_dim=10, n_classes=4, hidden_widths=(64, 32))
     params = np.stack([init_model(arch, seed).params for seed in range(3)])
@@ -584,9 +585,13 @@ def test_stack_grad_equals_reference_bitwise(with_bufs):
     x, y = ds.features[rows], ds.labels[rows]
     expected, got = np.empty_like(params), np.empty_like(params)
     _reference_stack_grad(_layers(params, arch), _layers(expected, arch), x, y)
-    bufs = [np.empty((2, 3, 40, w)) for w in arch.hidden_widths] if with_bufs else None
-    _stack_grad(_layers(params, arch), _layers(got, arch), x, y, bufs)
-    assert np.array_equal(got, expected)
+    w_layers, g_layers = _layers(params, arch), _layers(got, arch)
+    ws = _Workspace(w_layers, x.shape[:-1]) if with_workspace else None
+    # a reused workspace must give the same bits on its second pass
+    for _ in range(2 if with_workspace else 1):
+        got[:] = np.nan
+        _stack_grad(w_layers, g_layers, x, y, ws)
+        assert np.array_equal(got, expected)
 
 
 def _reference_softmax(logits):
