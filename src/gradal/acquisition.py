@@ -108,7 +108,7 @@ def df_scores(model: ModelState, dataset: Dataset, labeled, candidate_indices,
     sq, dot = grad_products(model, dataset.features, ref, scope, rows=candidate_indices)
     d2 = np.maximum(sq - 2.0 * dot + ref_sq, 0.0)
     scores = factor * np.sqrt(d2)
-    for i in np.flatnonzero(d2 <= 1e-9 * (sq + ref_sq)):  # one row per call, as alone
+    for i in np.flatnonzero(d2 <= 1e-9 * (sq + ref_sq)):  # one row per call: memory is one row
         scores[i] = df_scores_from_embeddings(ref, grad_embeddings(
             model, dataset.features[candidate_indices[[i]]], scope=scope), labeled.size)[0]
     return scores

@@ -166,6 +166,7 @@ def _section(cls, config: dict, name: str, default=None, **given):
 def build_dataset(cfg: dict, where: str = "dataset.") -> Dataset:
     kind = _get(cfg, "kind", str, required=True, where=where)
     if kind == "blobs":
+        _only(cfg, "kind n_samples n_classes n_features spread seed".split(), where)
         try:
             return make_blobs(
                 n_samples=_get(cfg, "n_samples", int, required=True, where=where),
@@ -177,6 +178,7 @@ def build_dataset(cfg: dict, where: str = "dataset.") -> Dataset:
         except ValueError as exc:
             raise ConfigError(f"dataset: {exc}") from exc
     if kind == "csv":
+        _only(cfg, "kind path label_column".split(), where)
         path = _get(cfg, "path", str, required=True, where=where)
         label = _get(cfg, "label_column", str, "label", where=where)
         try:

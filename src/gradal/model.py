@@ -1,7 +1,8 @@
-"""From-scratch ReLU MLP: SGD training, softmax probabilities, and exact
-per-example gradient embeddings, all from one backprop loop (``_backward``)
-in a ``_Workspace``, the reused buffers of one batch shape: ``train_stack``
-keeps one per shape, so no SGD step allocates activations or deltas.
+"""From-scratch ReLU MLP: SGD training, softmax probabilities and exact
+gradient embeddings. Every dense gradient is one ``_stack_grad`` over a stack
+of (params, batch) rows in a ``_Workspace``, the reused buffers of one batch
+shape (``train_stack`` keeps one per shape, so no SGD step allocates); row i
+of ``grad_embeddings`` is the mean gradient of example i alone, one such row.
 
 Inference and the factored grad scores run one zero-padded CHUNK_ROWS-row
 tile at a time (``_tiled``), so a row's bits do not depend on the rows beside
@@ -289,13 +290,6 @@ def _grad_pass(arch: ArchSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray,
     return run
 
 
-def _mean_grad(params: np.ndarray, arch: ArchSpec, x: np.ndarray, y: np.ndarray,
-               scope: str = FULL) -> np.ndarray:
-    """Gradient of the mean cross-entropy over (x, y) restricted to the
-    scope, flat layout: the one-row case of ``_grad_pass``."""
-    return _grad_pass(arch, params[None], x[None], y[None], scope)()[0]
-
-
 def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
                 learning_rate, momentum: float, minibatch_size: int,
                 epochs: int, on_epoch=None):
@@ -390,22 +384,14 @@ def last_layer_factors(model: ModelState, features: np.ndarray, rows=None):
 def grad_embeddings(model: ModelState, features: np.ndarray, labels=None,
                     scope: str = LAST_LAYER) -> np.ndarray:
     """Per-example gradient embeddings for rows of ``features`` under the
-    given labels (None: each row's pseudo-label, argmax, lowest id on ties),
-    one embedding per row, from one backprop pass over exactly these rows,
-    so one example's embedding has the bits of its ``mean_grad_embedding``."""
+    given labels (None: each row's pseudo-label, argmax, lowest id on ties):
+    row i is the mean gradient of example i alone, whatever rows are beside
+    it, a ``_grad_pass`` stack row at the broadcast params."""
     arch = model.arch
-    first, embedded = _scoped(arch, scope)
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    w_layers = _layers(model.params, arch)
-    out = np.empty((features.shape[0], embedded.n_params))
-    g_layers, ws = _layers(out, embedded), _Workspace(w_layers, features.shape[:-1])
-    acts, err = _output_error(w_layers, features, _checked_labels(labels, arch.n_classes), ws)
-    for i, delta, a in _backward(w_layers, acts, err, first, ws):
-        gw, gb = g_layers[i - first]
-        # einsum, not multiply: it writes +0.0 where the product is -0.0
-        np.einsum("no,ni->noi", delta, a, out=gw)
-        gb[:] = delta
-    return out
+    x = np.atleast_2d(np.asarray(features, dtype=float))
+    y = _checked_labels(labels, arch.n_classes)
+    params = np.broadcast_to(model.params, (len(x), arch.n_params))
+    return _grad_pass(arch, params, x[:, None], None if y is None else y[:, None], scope)()
 
 
 def grad_embedding(model: ModelState, x: np.ndarray, y: int,
@@ -422,8 +408,8 @@ def mean_grad_embedding(model: ModelState, dataset: Dataset, indices,
     indices = np.asarray(indices, dtype=np.int64)
     if indices.size == 0:
         raise ValueError("indices must be nonempty")
-    return _mean_grad(model.params, model.arch, dataset.features[indices],
-                      dataset.labels[indices], scope)
+    return _grad_pass(model.arch, model.params[None], dataset.features[indices][None],
+                      dataset.labels[indices][None], scope)()[0]
 
 
 def grad_products(model: ModelState, features: np.ndarray, ref: np.ndarray,

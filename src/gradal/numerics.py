@@ -1,7 +1,7 @@
 """Shared numeric kernels: seeded RNG streams, Student-t tail, PCA, norms.
 
 Matrices throughout the package are plain two-dimensional float64 numpy
-arrays. The ``Rng`` wrapper exists so that every random draw in an
+arrays. The ``Rng`` generator exists so that every random draw in an
 experiment is addressed by ``(seed, label)`` and is therefore reproducible
 bit-for-bit regardless of call order anywhere else in the program.
 """
@@ -12,43 +12,29 @@ import math
 import numpy as np
 
 
-class Rng:
-    """Deterministic random stream keyed by a 64-bit seed and a text label.
+class Rng(np.random.Generator):
+    """Deterministic random stream keyed by a 64-bit seed and a text label:
+    a numpy ``Generator``, so it draws with all of its methods.
 
-    The underlying generator is Philox (counter-based), keyed with a
-    SHA-256 hash of ``(seed, label)``. Two instances built with the same
-    seed and label emit identical sequences on any platform, and derived
-    sub-streams are independent of how much the parent has been consumed.
+    The bit generator is Philox (counter-based), keyed with a SHA-256 hash
+    of ``(seed, label)``. Two instances built with the same seed and label
+    emit identical sequences on any platform, and derived sub-streams are
+    independent of how much the parent has been consumed.
     """
 
     def __init__(self, seed: int, label: str = "root"):
         self.seed = int(seed)
         self.label = label
         digest = hashlib.sha256(f"{self.seed}\x1f{label}".encode()).digest()
-        key = int.from_bytes(digest[:16], "little")
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        super().__init__(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
 
     def derive(self, label: str) -> "Rng":
         """Fresh child stream for ``label``; does not consume this stream."""
         return Rng(self.seed, f"{self.label}/{label}")
 
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high, size)
-
-    def uniform(self, low=0.0, high=1.0, size=None):
-        return self._gen.uniform(low, high, size)
-
-    def normal(self, loc=0.0, scale=1.0, size=None):
-        return self._gen.normal(loc, scale, size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def choice(self, n, size=None, replace=True, p=None):
-        return self._gen.choice(n, size=size, replace=replace, p=p)
-
     def __repr__(self):
         return f"Rng(seed={self.seed}, label={self.label!r})"
+    __str__ = __repr__  # Generator's own names only the bit generator
 
 
 def derive_seed(seed: int, *labels) -> int:

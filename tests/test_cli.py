@@ -371,6 +371,29 @@ def test_non_string_out_dir_exits_2_before_any_work(tmp_path, capsys, monkeypatc
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
+# a misspelt dataset key would otherwise silently take its default:
+# "sede" generates the blobs of seed 0
+@pytest.mark.parametrize("verb, kind", [
+    *((verb, kind) for kind in ("blobs", "csv")
+      for verb in ("run", "geometry", "shift", "contraction", "timing")),
+    ("timing", "timing-defaults"),  # timing merges its blob defaults under the given keys
+])
+def test_unknown_dataset_key_exits_2_before_any_work(tmp_path, capsys, monkeypatch, verb, kind):
+    config = {"run": run_config, "geometry": geometry_config, "shift": shift_config,
+              "contraction": contraction_config, "timing": timing_config}[verb]()
+    config["dataset"] = {"blobs": config["dataset"],
+                         "csv": {"kind": "csv", "path": "data.csv", "label_column": "label"},
+                         "timing-defaults": {"kind": "blobs"}}[kind]
+    config["dataset"]["sede"] = 7
+    monkeypatch.setattr("gradal.cli.make_blobs", lambda *a, **k: pytest.fail("work started"))
+    monkeypatch.setattr("gradal.cli.load_csv", lambda *a, **k: pytest.fail("work started"))
+    out = tmp_path / "out"
+    code = main([verb, "--config", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: dataset.sede: unknown field")
+    assert not out.exists()
+
+
 def test_blob_generator_error_exits_2_naming_dataset(tmp_path, capsys):
     config = run_config()
     config["dataset"]["n_samples"] = 1

@@ -14,7 +14,7 @@ from gradal.model import (
     LAST_LAYER,
     ArchSpec,
     ModelState,
-    _mean_grad,
+    _grad_pass,
     _stack_grad,
     grad_embeddings,
     init_model,
@@ -149,7 +149,8 @@ def test_dual_route_mean_gradient_agreement():
     arch = ArchSpec(input_dim=3, n_classes=2, hidden_widths=(8,))
     model = init_model(arch, 3)
     idx = np.arange(30)
-    route1 = _mean_grad(model.params, arch, ds.features[idx], ds.labels[idx])
+    route1 = _grad_pass(arch, model.params[None], ds.features[idx][None],
+                        ds.labels[idx][None], FULL)()[0]
     route2 = grad_embeddings(model, ds.features[idx], ds.labels[idx],
                              scope=FULL).mean(axis=0)
     assert np.linalg.norm(route1 - route2) <= 1e-10 * max(1.0, np.linalg.norm(route2))

@@ -13,9 +13,9 @@ from gradal.model import (
     ModelState,
     TrainConfig,
     _forward,
+    _grad_pass,
     _layers,
     _log_softmax,
-    _mean_grad,
     _output_error,
     _softmax,
     _stack_grad,
@@ -327,7 +327,8 @@ def test_train_stack_full_batch_reproduces_contraction_trace():
 
     params, velocity, expected = init.params.copy(), np.zeros(arch.n_params), []
     for _ in range(cfg.epochs):
-        velocity = cfg.momentum * velocity + _mean_grad(params, arch, ds.features[s], ds.labels[s])
+        grad = _grad_pass(arch, params[None], ds.features[s][None], ds.labels[s][None], FULL)()[0]
+        velocity = cfg.momentum * velocity + grad
         params = params - cfg.learning_rate * velocity
         expected.append(discrepancy(params))
 
@@ -354,7 +355,8 @@ def test_train_stack_full_batch_hands_on_the_gradient_at_its_params(momentum):
                 on_epoch=lambda epoch, p, g: seen.append((epoch, p[0].copy(), g[0].copy())))
     assert [epoch for epoch, _, _ in seen] == list(range(6))
     for _, params, grad in seen:
-        assert np.array_equal(grad, _mean_grad(params, arch, ds.features[s], ds.labels[s]))
+        want = _grad_pass(arch, params[None], ds.features[s][None], ds.labels[s][None], FULL)()[0]
+        assert np.array_equal(grad, want)
 
 
 def test_train_stack_minibatch_hands_on_no_gradient():
@@ -380,7 +382,8 @@ def _reference_trace(ds, cfg, s, s_j):
                  else np.arange(s.size))
         for start in range(0, s.size, step):
             batch = s[order[start:start + step]]
-            grad = _mean_grad(params, arch, ds.features[batch], ds.labels[batch])
+            grad = _grad_pass(arch, params[None], ds.features[batch][None],
+                              ds.labels[batch][None], FULL)()[0]
             velocity = cfg.momentum * velocity + grad
             params = params - cfg.learning_rate * velocity
         model = ModelState(params, arch)
@@ -554,13 +557,31 @@ def _reference_embeddings(model, x, y, scope):
 @pytest.mark.parametrize("scope", [LAST_LAYER, FULL])
 @pytest.mark.parametrize("labeled", [False, True])
 def test_grad_embeddings_equal_reference_bitwise(scope, labeled):
-    # 300 rows, more than one 256-row tile: both sides run one pass over all of them
+    # 300 rows, more than one 256-row tile, in one call; the reference runs
+    # one pass per row, as each row is the gradient of its example alone
     ds = make_blobs(300, 10, 20, spread=1.0, seed=3)
     arch = ArchSpec(input_dim=20, n_classes=10, hidden_widths=(128, 64))
     m = train(init_model(arch, 7), ds, np.arange(40), TrainConfig(learning_rate=0.05, epochs=3))
-    y = ds.labels if labeled else None
-    expected = _reference_embeddings(m, ds.features, y, scope)
-    assert np.array_equal(grad_embeddings(m, ds.features, y, scope=scope), expected)
+    expected = np.concatenate([
+        _reference_embeddings(m, ds.features[[i]], ds.labels[[i]] if labeled else None, scope)
+        for i in range(300)])
+    got = grad_embeddings(m, ds.features, ds.labels if labeled else None, scope=scope)
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("scope", [LAST_LAYER, FULL])
+def test_grad_embeddings_row_is_its_example_mean_gradient_bytes(scope):
+    # row i has the bytes of example i's mean gradient, signed zeros
+    # included, whatever rows are beside it: alone, or in reversed order
+    ds = make_blobs(50, 4, 10, spread=1.0, seed=2)
+    arch = ArchSpec(input_dim=10, n_classes=4, hidden_widths=(16, 8))
+    m = train(init_model(arch, 3), ds, np.arange(30), TrainConfig(learning_rate=0.05, epochs=3))
+    rows = grad_embeddings(m, ds.features, ds.labels, scope=scope)
+    flipped = grad_embeddings(m, ds.features[::-1], ds.labels[::-1], scope=scope)[::-1]
+    for i in range(50):
+        alone = grad_embeddings(m, ds.features[[i]], ds.labels[[i]], scope=scope)[0]
+        assert rows[i].tobytes() == mean_grad_embedding(m, ds, [i], scope=scope).tobytes(), i
+        assert rows[i].tobytes() == alone.tobytes() == flipped[i].tobytes(), i
 
 
 def _reference_stack_grad(w_layers, g_layers, x, y):
