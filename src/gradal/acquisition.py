@@ -31,8 +31,9 @@ from .model import (
 from .numerics import Rng, l2_norm
 
 METHODS = ("grad", "entropy", "badge", "kcenter", "random")
-# k-center's screen: the expanded squared distance is off from the exact one by about (H + 3) eps
-# (p_sq_i + p_sq_c), far below this margin, or by H subnormal spacings, far below finfo.tiny
+# k-center's and BADGE's screens: an expanded or factored squared distance is off from the exact
+# one by about (H + 3) eps (sq_i + sq_c), far below this margin, or by H subnormal spacings, far
+# below finfo.tiny
 _SCREEN_MARGIN = 1e-8
 _BOUND_CENTERS = 64  # k-center bounds every pool row by its distance to this many labeled centers
 
@@ -115,9 +116,14 @@ def df_scores(model: ModelState, dataset: Dataset, labeled, candidate_indices,
 
 
 def _top_b(pool_indices: np.ndarray, scores: np.ndarray, b: int):
-    """Top-b by descending score, ties broken by ascending dataset index."""
+    """Top-b by descending score, ties broken by ascending dataset index, NaN
+    last: the first b of the full lexsort, which sorts only the rows scored at
+    or above the b-th largest score (by np.partition, NaN last) or NaN."""
     take = min(int(b), pool_indices.size)
-    order = np.lexsort((pool_indices, -scores))[:take]
+    neg = -scores
+    cut = np.partition(neg, take - 1)[take - 1] if take else np.nan  # NaN: no cut
+    rows = np.flatnonzero(~(neg > cut))
+    order = rows[np.lexsort((pool_indices[rows], neg[rows]))[:take]]
     return pool_indices[order], scores[order]
 
 
@@ -150,33 +156,51 @@ def select_entropy(model: ModelState, dataset: Dataset, pool: PoolState,
                             scores=[float(s) for s in chosen_scores])
 
 
-def _factored_sq_dists(a: np.ndarray, b: np.ndarray, sq: np.ndarray, c: int) -> np.ndarray:
-    """Squared distances from every row g_i = a_i (x) b_i to row c, from the
-    factors alone: sq_i + sq_c - 2 (a_i . a_c)(b_i . b_c), sq_i = ||g_i||^2.
+def _factored_sq_dists(a: np.ndarray, b: np.ndarray, sq, c: int, rows=None):
+    """(d2, sq): squared distances to row c from the rows ``rows`` (every row
+    if None) of g_i = a_i (x) b_i, from the factors alone,
+    sq_i + sq_c - 2 (a_i . a_c)(b_i . b_c) with sq_i = ||g_i||^2; ``sq`` None
+    takes the squared norms of every row from the same pass. b_i . b_c runs
+    per ``_tiled`` tile and the rest per row by ``einsum``, which forms no
+    (n, |a|) product, so a row's bits do not depend on the rows beside it.
     Cancellation leaves a residue of order eps ||g||^2 at distance 0, so
     negatives are clipped, and row c and its duplicates are set to exactly 0."""
-    d2 = sq + sq[c] - 2.0 * (a @ a[c]) * (b @ b[c])
-    np.maximum(d2, 0.0, out=d2)
+    sel = slice(None) if rows is None else rows
+    if sq is None:
+        dots, b_sq = _tiled(b, lambda t: [t @ b[c], np.einsum("ij,ij->i", t, t)], (), ())
+        sq = np.einsum("ij,ij->i", a, a) * b_sq
+    else:
+        dots = _tiled(b, lambda t: [t @ b[c]], (), rows=rows)[0]
+    dots *= np.einsum("ij,j->i", a[sel], a[c])
+    both = sq[sel] + sq[c]
+    d2 = np.maximum(both - 2.0 * dots, 0.0)
     # only rows within the residue can be duplicates; compare those exactly
-    near = np.flatnonzero(d2 <= 1e-9 * (sq + sq[c]))
-    d2[near[(a[near] == a[c]).all(axis=1) & (b[near] == b[c]).all(axis=1)]] = 0.0
-    return d2
+    near = np.flatnonzero(d2 <= 1e-9 * both)
+    same = near if rows is None else rows[near]
+    if same.size > 1 or same.size and same[0] != c:  # rows other than c itself
+        near = near[(a[same] == a[c]).all(axis=1) & (b[same] == b[c]).all(axis=1)]
+    d2[near] = 0.0
+    return d2, sq
 
 
 def kmeans_pp_indices(points, k: int, rng: Rng) -> list:
     """k-means++ seeding over rows of ``points``: first center uniform, each
     next center drawn with probability proportional to the squared distance
-    to the nearest chosen center. Returns min(k, n) row indices in order.
+    D^2 to the nearest chosen center. Returns min(k, n) row indices in order.
 
     ``points`` is a 2-D array or a factor pair ``(a, b)`` of rows a_i (x) b_i
-    (a last-layer gradient is err (x) [h, 1]): a center costs O(n(|a| + |b|)).
+    (a last-layer gradient is err (x) [h, 1]): a center costs O(n(|a| + |b|))
+    at most. By the reverse triangle inequality ||g_i - g_c|| >=
+    | ||g_i|| - ||g_c|| |, a new center c lowers D^2 only on rows whose bound
+    (||g_i|| - ||g_c||)^2 - 1e-8 (||g_i||^2 + max_j ||g_j||^2) is not above
+    it (Elkan 2003): only those rows, and rows whose bound is NaN, are
+    computed, and D^2 has the bits of computing every row. The first center
+    reads every row, and its pass also gives the squared norms.
 
     When all remaining squared distances are zero (duplicate-only pools),
     falls back to a uniform draw among not-yet-chosen rows.
     """
     a, b = points if isinstance(points, tuple) else (points, np.ones((len(points), 1)))
-    # b's squares are summed per tile, so no (n, |b|) temporary as large as b is formed
-    sq = (a * a).sum(axis=1) * _tiled(b, lambda t: [(t * t).sum(axis=1)], ())[0]
     n = a.shape[0]
     chosen, d2 = [], np.full(n, np.inf)
     while len(chosen) < min(int(k), n):
@@ -187,7 +211,20 @@ def kmeans_pp_indices(points, k: int, rng: Rng) -> list:
         else:
             nxt = int(rng.choice(n, p=d2 / total))
         chosen.append(nxt)
-        np.minimum(d2, _factored_sq_dists(a, b, sq, nxt), out=d2)
+        if len(chosen) == 1:
+            d2, sq = _factored_sq_dists(a, b, None, nxt)
+            # the margin, with max(sq) for sq_c, lies far above the rounding of D^2 and of the bound
+            norm, bound = np.sqrt(sq), np.empty(n)
+            margin = _SCREEN_MARGIN * (sq + sq.max()) + np.finfo(float).tiny
+            continue
+        bound = np.subtract(norm, norm[nxt], out=bound)
+        bound *= bound
+        bound -= margin
+        rows = (~(bound > d2)).nonzero()[0]  # a NaN bound keeps its row
+        if 2 * rows.size > n:  # most rows: every row in place, none gathered
+            np.minimum(d2, _factored_sq_dists(a, b, sq, nxt)[0], out=d2)
+        else:
+            d2[rows] = np.minimum(d2[rows], _factored_sq_dists(a, b, sq, nxt, rows)[0])
     return chosen
 
 

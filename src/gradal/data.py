@@ -75,19 +75,24 @@ class PoolState:
     def __post_init__(self):
         self.labeled = np.asarray(self.labeled, dtype=np.int64)
         self.unlabeled = np.asarray(self.unlabeled, dtype=np.int64)
-        if np.intersect1d(self.labeled, self.unlabeled).size:
+        if np.isin(self.labeled, self.unlabeled).any():
             raise ValueError("labeled and unlabeled sets overlap")
 
     def acquire(self, indices) -> "PoolState":
-        """Move ``indices`` from the unlabeled pool into the labeled set."""
+        """Move ``indices`` from the unlabeled pool into the labeled set; the
+        new unlabeled set is sorted and unique."""
         indices = np.asarray(indices, dtype=np.int64)
-        if np.setdiff1d(indices, self.unlabeled).size:
+        pool = self.unlabeled
+        if not (pool[1:] > pool[:-1]).all():  # as acquire leaves it, or made so
+            pool = np.unique(pool)
+        pos = np.searchsorted(pool, indices)
+        if not ((pos < pool.size).all() and (pool[pos] == indices).all()):
             raise ValueError("acquired indices must come from the unlabeled pool")
-        if len(np.unique(indices)) != len(indices):
+        keep = np.ones(pool.size, dtype=bool)
+        keep[pos] = False
+        if pool.size - np.count_nonzero(keep) != indices.size:
             raise ValueError("acquired indices contain duplicates")
-        labeled = np.sort(np.concatenate([self.labeled, indices]))
-        unlabeled = np.setdiff1d(self.unlabeled, indices)
-        return PoolState(labeled, unlabeled)
+        return PoolState(np.sort(np.concatenate([self.labeled, indices])), pool[keep])
 
 
 @dataclass

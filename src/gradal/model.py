@@ -4,9 +4,10 @@ of (params, batch) rows in a ``_Workspace``, the reused buffers of one batch
 shape (``train_stack`` keeps one per shape, so no SGD step allocates); row i
 of ``grad_embeddings`` is the mean gradient of example i alone, one such row.
 
-Inference and the factored grad scores run one zero-padded CHUNK_ROWS-row
-tile at a time (``_tiled``), so a row's bits do not depend on the rows beside
-it and memory is one tile's activations.
+Inference and the factored grad scores run one CHUNK_ROWS-row tile at a time
+(``_tiled``: a view of the next rows, else gathered and zero-padded), so a
+row's bits do not depend on the rows beside it and memory is one tile's
+activations.
 
 Parameters live in one flat float64 vector laid out layer by layer as
 ``[W_0.ravel(), b_0, W_1.ravel(), b_1, ...]`` with each weight matrix shaped
@@ -142,7 +143,9 @@ class _Workspace:
 def _forward(layers, x: np.ndarray, ws=None):
     """(per-layer activations including the input, logits) for ``_layers``
     views, in the workspace ``ws`` (a fresh one if None); with a leading
-    stack axis, row m runs model m on x[m]."""
+    stack axis, row m runs model m on x[m]. Only the layers ``ws`` was built
+    for run: for the hidden layers alone, the "logits" are the last hidden
+    layer's post-activation output."""
     acts = [np.asarray(x, dtype=float)]
     ws = ws or _Workspace(layers, acts[0].shape[:-1])
     a = acts[0]
@@ -193,18 +196,25 @@ def _output_error(layers, x: np.ndarray, y=None, ws=None):
 
 
 def _tiled(features: np.ndarray, fn, *shapes, rows=None) -> list:
-    """Run ``fn`` on ``features[rows]`` (every row if None) one zero-padded
-    (CHUNK_ROWS, d) tile at a time, gathered into one reused buffer; fn maps
-    a tile to per-row arrays, whose real rows go into the returned
-    (len(rows), *shape) arrays, one per shape."""
+    """Run ``fn`` on ``features[rows]`` (every row if None) one (CHUNK_ROWS, d)
+    tile at a time: with every row of a C-contiguous ``features``, a view of
+    its next CHUNK_ROWS rows (a view's GEMM bits are a copy's), else the rows
+    gathered into one reused zero-padded buffer; fn maps a tile to per-row
+    arrays, whose real rows go into the returned (len(rows), *shape) arrays,
+    one per shape."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
-    rows = np.arange(len(features)) if rows is None else rows
-    outs = [np.empty((len(rows), *shape)) for shape in shapes]
-    tile = np.zeros((CHUNK_ROWS, features.shape[1]))
-    for start in range(0, len(rows), CHUNK_ROWS):
-        m = min(CHUNK_ROWS, len(rows) - start)
-        tile[:m], tile[m:] = features[rows[start:start + m]], 0.0
-        for out, a in zip(outs, fn(tile)):
+    n = len(features) if rows is None else len(rows)
+    outs = [np.empty((n, *shape)) for shape in shapes]
+    tile = np.empty((CHUNK_ROWS, features.shape[1]))
+    for start in range(0, n, CHUNK_ROWS):
+        m = min(CHUNK_ROWS, n - start)
+        part = slice(start, start + m) if rows is None else rows[start:start + m]
+        if rows is None and m == CHUNK_ROWS and features.flags.c_contiguous:
+            x = features[part]
+        else:
+            x = tile
+            tile[:m], tile[m:] = features[part], 0.0
+        for out, a in zip(outs, fn(x)):
             out[start:start + m] = a[:m]
     return outs
 
@@ -219,10 +229,13 @@ def predict_proba(model: ModelState, features: np.ndarray, rows=None) -> np.ndar
 
 def penultimate(model: ModelState, features: np.ndarray, rows=None) -> np.ndarray:
     """Post-activation output of the last hidden layer (the input itself if
-    there is none) per row of ``features[rows]`` (all if None)."""
+    there is none) per row of ``features[rows]`` (all if None); the output
+    layer is not run."""
     layers, width = _layers(model.params, model.arch), model.arch.penultimate_width
-    ws = _Workspace(layers, (CHUNK_ROWS,))
-    return _tiled(features, lambda x: [_forward(layers, x, ws)[0][-1]], (width,), rows=rows)[0]
+    if len(layers) == 1:
+        return _tiled(features, lambda x: [x], (width,), rows=rows)[0]
+    ws = _Workspace(layers[:-1], (CHUNK_ROWS,))
+    return _tiled(features, lambda x: [_forward(layers, x, ws)[1]], (width,), rows=rows)[0]
 
 
 def loss_mean(model: ModelState, dataset: Dataset, indices) -> float:

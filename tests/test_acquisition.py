@@ -12,6 +12,7 @@ from gradal.acquisition import (
     _factored_sq_dists,
     _farthest_first,
     _min_dist_to,
+    _top_b,
     df_score,
     df_scores,
     df_scores_from_embeddings,
@@ -192,6 +193,26 @@ def test_select_grad_permutation_invariant():
     assert np.array_equal(batch.indices, batch2.indices)
 
 
+@pytest.mark.parametrize("kind", ["ties", "nan", "inf", "signed_zero"])
+def test_top_b_equals_the_full_lexsort(kind):
+    # few distinct scores, so ties cross the cut; NaN sorts last, as in the lexsort
+    rng = np.random.default_rng(["ties", "nan", "inf", "signed_zero"].index(kind))
+    special = {"ties": [], "nan": [np.nan, -np.nan], "inf": [np.inf, -np.inf],
+               "signed_zero": [0.0, -0.0]}[kind]
+    for _ in range(300):
+        n = int(rng.integers(1, 70))
+        scores = rng.integers(0, 4, n).astype(float)
+        if special:
+            hit = rng.random(n) < rng.random()
+            scores[hit] = rng.choice(special, hit.sum())
+        pool_indices = rng.permutation(3 * n)[:n]
+        for b in {1, 2, int(rng.integers(1, n + 1)), n, n + 5}:
+            order = np.lexsort((pool_indices, -scores))[:b]
+            got = _top_b(pool_indices, scores, b)
+            assert got[0].tobytes() == pool_indices[order].tobytes()
+            assert got[1].tobytes() == scores[order].tobytes()
+
+
 def test_uniform_model_grad_selects_lowest_indices():
     # all-zero parameters: uniform probabilities AND constant penultimate,
     # so every candidate embedding is identical => pure index tie-break
@@ -351,18 +372,22 @@ def test_factored_sq_dists_match_dense_oracle(seed, hidden):
     assert np.allclose(sq, (g * g).sum(axis=1), rtol=1e-12, atol=0.0)
     for c in range(x.shape[0]):
         dense = ((g - g[c]) ** 2).sum(axis=1)
-        fact = _factored_sq_dists(a, b, sq, c)
+        fact, fact_sq = _factored_sq_dists(a, b, None, c)
+        assert np.allclose(fact_sq, sq, rtol=1e-14, atol=0.0)
         assert np.all(np.abs(fact - dense) <= 1e-9 * (sq + sq[c]))
+        # any subset of rows gets the bits those rows have when every row is computed
+        rows = np.arange(c % 3, x.shape[0], 3)
+        assert _factored_sq_dists(a, b, fact_sq, c, rows)[0].tobytes() == fact[rows].tobytes()
 
 
 @pytest.mark.parametrize("seed,hidden", NETS)
 def test_factored_sq_dists_zero_chosen_and_duplicate_rows(seed, hidden):
     model, x = random_net_pool(seed, hidden)
     a, b = last_layer_factors(model, x)
-    sq = (a * a).sum(axis=1) * (b * b).sum(axis=1)
     copies_of_0 = [0, 40, 41, 42]
     for c in (0, 41, 7):
-        d2 = _factored_sq_dists(a, b, sq, c)
+        d2, sq = _factored_sq_dists(a, b, None, c)
+        assert np.array_equal(_factored_sq_dists(a, b, sq, c, np.arange(43)[::-1])[0], d2[::-1])
         assert d2[c] == 0.0
         assert np.all(d2 >= 0.0)
         if c in copies_of_0:
@@ -385,6 +410,99 @@ def test_kmeans_pp_factored_law_matches_dense_law(seed, hidden):
             if {0, 40, 41, 42} & set(rows[:k]):
                 assert np.all(law[[0, 40, 41, 42]] == 0.0)
             d2 = np.minimum(d2, ((g - g[rows[k]]) ** 2).sum(axis=1))
+
+
+class ScriptedRng(RecordingRng):
+    """A RecordingRng that takes every center, the first one too, from a
+    script; ``choice`` records the law, so that laws with NaN or inf entries,
+    which a real draw rejects, are recorded too."""
+
+    def __init__(self, script):
+        super().__init__(0, "scripted")
+        self.script = iter(script)
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        return next(self.script)
+
+    def choice(self, n, size=None, replace=True, p=None):
+        self.laws.append(np.array(p))
+        return next(self.script)
+
+
+def kmeans_pp_unpruned(points, k, rng):
+    """kmeans_pp_indices with every row's D^2 recomputed for every center."""
+    a, b = points if isinstance(points, tuple) else (points, np.ones((len(points), 1)))
+    n = len(a)
+    chosen, d2, sq = [], np.full(n, np.inf), None
+    while len(chosen) < min(k, n):
+        total = float(d2.sum())
+        if not chosen or total <= 0.0:
+            remaining = np.delete(np.arange(n), chosen)
+            nxt = int(remaining[rng.integers(0, remaining.size)])
+        else:
+            nxt = int(rng.choice(n, p=d2 / total))
+        chosen.append(nxt)
+        new, sq = _factored_sq_dists(a, b, sq, nxt)
+        d2 = np.minimum(d2, new)
+    return chosen
+
+
+def assert_pruned_equals_unpruned(points, k, make_rng):
+    """The rows and laws handed to choice, equal bitwise pruned and unpruned."""
+    rng, all_rng = make_rng(), make_rng()
+    rows = kmeans_pp_indices(points, k, rng)
+    assert rows == kmeans_pp_unpruned(points, k, all_rng)
+    assert len(rng.laws) == len(all_rng.laws) > 0
+    for law, all_law in zip(rng.laws, all_rng.laws):
+        assert law.tobytes() == all_law.tobytes()
+    return rows, rng.laws
+
+
+@pytest.mark.parametrize("seed,hidden", NETS)
+def test_kmeans_pp_pruned_laws_equal_unpruned_bitwise(seed, hidden):
+    model, x = random_net_pool(seed, hidden)
+    factors = last_layer_factors(model, x)
+    for rep in range(5):
+        assert_pruned_equals_unpruned(factors, 12, lambda: RecordingRng(rep, "pruned-law"))
+
+
+def test_kmeans_pp_pruned_laws_equal_unpruned_bitwise_over_several_tiles():
+    # 1,000 rows: the unpruned passes read tile views, the pruned ones gather
+    ds, model, pool = pool_net_fixture("10-64-32-4")
+    factors = last_layer_factors(model, ds.features, rows=pool)
+    for rep in range(3):
+        assert_pruned_equals_unpruned(factors, 40, lambda: RecordingRng(rep, "pruned-tiles"))
+
+
+def test_kmeans_pp_pruned_laws_equal_unpruned_on_duplicate_and_zero_rows():
+    # 5 distinct rows 8 times over, then rows whose gradient is 0 by either factor
+    a, b = Rng(0, "dup-zero").normal(size=(5, 3)), Rng(1, "dup-zero").normal(size=(5, 4))
+    a, b = np.tile(a, (8, 1)), np.tile(b, (8, 1))
+    a[[3, 11, 17]], b[[5, 11, 29]] = 0.0, 0.0
+    for rep in range(5):
+        rows, laws = assert_pruned_equals_unpruned((a, b), 12, lambda: RecordingRng(rep, "dup-zero"))
+        assert sorted(rows) == sorted(set(rows))
+        assert all(np.all(law[rows[:i + 1]] == 0.0) for i, law in enumerate(laws))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_pp_pruned_laws_equal_unpruned_on_non_finite_rows(bad):
+    # a real draw rejects the law once a row is not finite; the scripted one
+    # keeps going, so rows whose bound is NaN are screened center after center
+    model, x = random_net_pool(1, (5,))
+    a, b = last_layer_factors(model, x)
+    a[7, 1], b[20, 2] = bad, bad
+    # row 12's D^2 to rows 0-5 is inf, not NaN, and to rows 6-11 NaN: only a
+    # NaN bound, which every row has once row 12 is a center, makes min see it
+    points = Rng(2, "non-finite").normal(size=(13, 3))
+    points[:12, 0] = np.abs(points[:12, 0]) * np.repeat([-1.0, 1.0], 6) * np.copysign(1.0, bad)
+    points[12, 0] = bad
+    cases = [((a, b), [3, 30, 20, 11, 7, 1]), ((a, b), [7, 20, 5, 9, 0, 1]),
+             ((a, b), [4, 19, 33, 26, 12, 1]), (points, [0, 12, 3, 8, 10, 1])]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for pts, script in cases:
+            _, laws = assert_pruned_equals_unpruned(pts, 6, lambda: ScriptedRng(script))
+            assert len(laws) == 5
 
 
 def dense_df_scores(model, ds, labeled, candidates, scope):
@@ -886,7 +1004,7 @@ POOL_NETS = {"10-64-32-4": (10, (64, 32), 4), "10-512-256-4": (10, (512, 256), 4
              "20-128-64-10": (20, (128, 64), 10)}
 POOL_CHECKS = ("predict_proba", "pseudo_labels", "pseudo_label", "penultimate",
                "last_layer_factors", "df_scores-last_layer", "df_scores-full",
-               "min_dist-20", "min_dist-500")
+               "min_dist-20", "min_dist-500", "factored_sq_dists")
 
 
 @functools.lru_cache(maxsize=None)
@@ -909,6 +1027,9 @@ def _per_row(check, ds, model):
         return lambda idx: df_scores(model, ds, np.arange(30), idx, scope=scope)
     if check == "last_layer_factors":
         return lambda idx: np.hstack(last_layer_factors(model, ds.features[idx]))
+    if check == "factored_sq_dists":  # k-means++'s first pass, dataset row 0 the center
+        return lambda idx: _factored_sq_dists(
+            *last_layer_factors(model, ds.features[np.append(idx, 0)]), None, len(idx))[0][:-1]
     fn = {"predict_proba": predict_proba, "pseudo_labels": pseudo_labels,
           "penultimate": penultimate}[check]
     return lambda idx: fn(model, ds.features[idx])

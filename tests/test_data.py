@@ -277,3 +277,72 @@ def test_load_csv_empty_label_cell(tmp_path):
     p.write_text("a,label\n1,x\n2,\n")
     with pytest.raises(ValueError, match="row 3: empty label"):
         load_csv(p, label_column="label")
+
+
+def _set_operation_acquire(labeled, unlabeled, indices):
+    """The sorted-set form of ``acquire``: (labeled, unlabeled), or the
+    message of the ValueError it raises."""
+    indices = np.asarray(indices, dtype=np.int64)
+    if np.setdiff1d(indices, unlabeled).size:
+        return "acquired indices must come from the unlabeled pool"
+    if len(np.unique(indices)) != len(indices):
+        return "acquired indices contain duplicates"
+    return np.sort(np.concatenate([labeled, indices])), np.setdiff1d(unlabeled, indices)
+
+
+def _random_pool(rng):
+    """A pool of up to 60 indices, unlabeled sorted, shuffled, or with repeats."""
+    n = int(rng.integers(1, 60))
+    perm = rng.permutation(n) + int(rng.integers(0, 3))
+    n_labeled = int(rng.integers(0, n))
+    labeled, unlabeled = perm[:n_labeled], perm[n_labeled:]
+    form = rng.integers(0, 3)
+    if form == 0:
+        unlabeled = np.sort(unlabeled)
+    elif form == 1:
+        unlabeled = np.concatenate([unlabeled, rng.choice(unlabeled, 3)])
+    return labeled.astype(np.int64), unlabeled.astype(np.int64)
+
+
+def test_pool_acquire_equals_the_set_operation_form():
+    # random pools; indices drawn from the pool, with foreign ones (labeled,
+    # negative, past the end) and repeats mixed in
+    rng = np.random.default_rng(0)
+    errors = set()
+    for trial in range(600):
+        labeled, unlabeled = _random_pool(rng)
+        k = int(rng.integers(0, min(8, unlabeled.size) + 1))
+        indices = rng.permutation(np.unique(unlabeled))[:k]
+        if trial % 4 == 1:
+            extra = [-1, 10_000] + ([labeled[0]] if labeled.size else [])
+            indices = np.append(indices, rng.choice(extra))
+        if trial % 4 == 2 and indices.size:
+            indices = np.append(indices, indices[rng.integers(0, indices.size)])
+        rng.shuffle(indices)
+        pool = PoolState(labeled, unlabeled)
+        want = _set_operation_acquire(labeled, unlabeled, indices)
+        if isinstance(want, str):
+            errors.add(want)
+            with pytest.raises(ValueError, match=want):
+                pool.acquire(indices)
+            continue
+        got = pool.acquire(indices)
+        assert got.labeled.dtype == got.unlabeled.dtype == np.int64
+        assert got.labeled.tobytes() == want[0].tobytes()
+        assert got.unlabeled.tobytes() == want[1].tobytes()
+    assert len(errors) == 2
+
+
+def test_pool_state_overlap_check_equals_intersect1d():
+    rng = np.random.default_rng(1)
+    overlapping = 0
+    for _ in range(300):
+        labeled = rng.integers(-3, 40, int(rng.integers(0, 10)))
+        unlabeled = rng.integers(-3, 40, int(rng.integers(0, 30)))
+        if np.intersect1d(labeled, unlabeled).size:
+            overlapping += 1
+            with pytest.raises(ValueError, match="overlap"):
+                PoolState(labeled, unlabeled)
+        else:
+            PoolState(labeled, unlabeled)
+    assert 50 < overlapping < 250

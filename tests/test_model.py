@@ -476,14 +476,16 @@ def test_last_layer_is_trailing_slice_of_full():
     assert np.array_equal(full[:, -n_last:], last)
 
 
-def test_grad_embeddings_chunking_consistent(monkeypatch):
+def test_grad_embeddings_chunking_consistent():
+    # a row's embedding does not depend on the rows in its call: 30 rows in
+    # one call equal the same rows computed 7 at a time, at both scopes
     ds = tiny_dataset(n=30)
     m = init_model(tiny_arch(), 5)
-    monkeypatch.setattr("gradal.model.CHUNK_ROWS", 7)
-    a = grad_embeddings(m, ds.features, ds.labels, scope=FULL)
-    monkeypatch.setattr("gradal.model.CHUNK_ROWS", 1000)
-    b = grad_embeddings(m, ds.features, ds.labels, scope=FULL)
-    assert np.array_equal(a, b)
+    for scope in (LAST_LAYER, FULL):
+        whole = grad_embeddings(m, ds.features, ds.labels, scope=scope)
+        parts = [grad_embeddings(m, ds.features[i:i + 7], ds.labels[i:i + 7], scope=scope)
+                 for i in range(0, 30, 7)]
+        assert whole.tobytes() == np.vstack(parts).tobytes()
 
 
 def test_grad_embedding_label_out_of_range():
