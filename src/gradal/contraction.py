@@ -16,6 +16,7 @@ from .data import Dataset
 from .model import (
     FULL,
     SCOPES,
+    TRAIN_DTYPE,
     ArchSpec,
     _grad_pass,
     diverged_error,
@@ -130,9 +131,10 @@ def run_contraction_trace(cfg: ContractionConfig, dataset: Dataset,
                     hidden_widths=tuple(cfg.hidden_widths))
     df_norms = np.empty(cfg.epochs)
     # passes over S_J and S (run in minibatch mode only) at the monitor's
-    # copy of the stack's params, each gathered and bound once
-    current = np.empty((1, arch.n_params))
-    s_j_grad, s_grad = (_grad_pass(arch, current, dataset.features[rows][None],
+    # copy of the stack's params, each gathered and bound once, at the
+    # engine's precision: its full-batch g_S and g_{S_J} share arithmetic
+    current = np.empty((1, arch.n_params), TRAIN_DTYPE)
+    s_j_grad, s_grad = (_grad_pass(arch, current, dataset.features[rows][None].astype(TRAIN_DTYPE),
                                    dataset.labels[rows][None], cfg.scope) for rows in (s_j, s))
 
     def monitor(epoch, params, grad):

@@ -9,10 +9,13 @@ Inference and the factored grad scores run one CHUNK_ROWS-row tile at a time
 row's bits do not depend on the rows beside it and memory is one tile's
 activations.
 
-Parameters live in one flat float64 vector laid out layer by layer as
+Parameters live in one flat vector laid out layer by layer as
 ``[W_0.ravel(), b_0, W_1.ravel(), b_1, ...]`` with each weight matrix shaped
 (fan_out, fan_in). The last-layer gradient embedding is therefore exactly
-the trailing slice of the full-parameter gradient.
+the trailing slice of the full-parameter gradient. Training steps in
+float32 (``TRAIN_DTYPE``); the stored and scored params are float64, so
+every score, pseudo-label and distance is computed in float64. A pass runs
+at the dtype of the params it is given.
 """
 
 import math
@@ -27,6 +30,7 @@ LAST_LAYER = "last_layer"
 FULL = "full"
 SCOPES = (LAST_LAYER, FULL)
 CHUNK_ROWS = 256  # rows per inference tile; a GEMM's per-row bits follow its row count, so fix it
+TRAIN_DTYPE = np.float32  # train_stack's precision: params, buffers, features, rates
 
 
 @dataclass(frozen=True)
@@ -128,13 +132,15 @@ def init_model(arch: ArchSpec, seed: int) -> ModelState:
 class _Workspace:
     """Buffers reused by every pass over (*lead, d) batches at the views
     ``w_layers``: each layer's output, which its delta overwrites on the way
-    back, the ReLU masks, the row max or sum, one-hot offsets, transposes."""
+    back, the ReLU masks, the row max or sum, one-hot offsets, transposes;
+    all at the views' dtype."""
 
     def __init__(self, w_layers, lead):
+        self.dtype = w_layers[0][0].dtype
         widths = [w.shape[-2] for w, _ in w_layers]
-        self.outs = [np.empty((*lead, k)) for k in widths]
+        self.outs = [np.empty((*lead, k), self.dtype) for k in widths]
         self.masks = [np.empty((*lead, k), dtype=bool) for k in widths[:-1]]
-        self.row = np.empty(lead)
+        self.row = np.empty(lead, self.dtype)
         self.offsets = np.arange(0, self.row.size * widths[-1], widths[-1]).reshape(lead)
         self.affine = [(np.swapaxes(w, -1, -2), b[..., None, :]) for w, b in w_layers]
         self.outs_t = [np.swapaxes(out, -1, -2) for out in self.outs]
@@ -142,12 +148,12 @@ class _Workspace:
 
 def _forward(layers, x: np.ndarray, ws=None):
     """(per-layer activations including the input, logits) for ``_layers``
-    views, in the workspace ``ws`` (a fresh one if None); with a leading
-    stack axis, row m runs model m on x[m]. Only the layers ``ws`` was built
-    for run: for the hidden layers alone, the "logits" are the last hidden
-    layer's post-activation output."""
-    acts = [np.asarray(x, dtype=float)]
-    ws = ws or _Workspace(layers, acts[0].shape[:-1])
+    views, in the workspace ``ws`` (a fresh one if None) and at its dtype;
+    with a leading stack axis, row m runs model m on x[m]. Only the layers
+    ``ws`` was built for run: for the hidden layers alone, the "logits" are
+    the last hidden layer's post-activation output."""
+    ws = ws or _Workspace(layers, np.shape(x)[:-1])
+    acts = [np.asarray(x, dtype=ws.dtype)]
     a = acts[0]
     for i, (w_t, b) in enumerate(ws.affine):
         a = np.matmul(a, w_t, out=ws.outs[i])
@@ -292,9 +298,11 @@ def _scoped(arch: ArchSpec, scope: str):
 def _grad_pass(arch: ArchSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray,
                scope: str = FULL):
     """A call returning the scope's ``_stack_grad`` over (x, y) at the stack
-    ``params`` as they are then: views, workspace and gradient bound once."""
+    ``params`` as they are then, at their dtype: views, workspace and
+    gradient bound once."""
     first, embedded = _scoped(arch, scope)
-    w_layers, grad = _layers(params, arch), np.empty((len(params), embedded.n_params))
+    w_layers = _layers(params, arch)
+    grad = np.empty((len(params), embedded.n_params), params.dtype)
     g_layers, ws = _layers(grad, embedded), _Workspace(w_layers, x.shape[:-1])
 
     def run():
@@ -311,32 +319,36 @@ def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
     count for all rows), reshuffled each epoch from seeds[m]; the last
     minibatch may be short, and minibatch_size 0 takes one full-batch step
     per epoch. ``learning_rate`` is one rate for all rows or an (M,) vector,
-    one per row. Each epoch's rows are gathered from ``dataset`` once. Rows
-    share no arithmetic, so a row gets the bits it would get alone. After each
-    epoch, ``on_epoch(epoch, params, grad)`` sees the stack and, in full-batch
-    mode, the gradient at it that the next step takes (else None). Returns the
-    trained (M, n_params) stack and, per row, the first epoch after which its
-    params were not finite (-1: none); training stops once every row is.
+    one per row. It steps in ``TRAIN_DTYPE``: params, velocity, buffers, and
+    the features, rates and momentum, each cast once a call. Each epoch's rows
+    are gathered once. Rows share no arithmetic, so a row gets the bits it
+    would get alone. After each epoch, ``on_epoch(epoch, params, grad)`` sees
+    the TRAIN_DTYPE stack and, in full-batch mode, the gradient at it that
+    the next step takes (else None). Returns the trained (M, n_params) stack
+    as float64 and, per row, the first epoch after which its params were not
+    finite (-1: none); training stops once every row is.
     """
-    params = np.array(params, dtype=float)
+    params = np.array(params, dtype=TRAIN_DTYPE)
     labeled = np.asarray(labeled, dtype=np.int64)
     shuffles = {seed: Rng(seed, "shuffle") for seed in seeds}  # one draw per distinct seed
     diverged = np.full(len(params), -1)
     n = labeled.shape[1]
     size = minibatch_size or n
-    rates = np.reshape(learning_rate, (-1, 1))
+    rates = np.reshape(learning_rate, (-1, 1)).astype(TRAIN_DTYPE)
+    momentum = TRAIN_DTYPE(momentum)
+    features = dataset.features.astype(TRAIN_DTYPE)
     velocity, grad, step = np.zeros_like(params), np.empty_like(params), np.empty_like(params)
     w_layers, g_layers = _layers(params, arch), _layers(grad, arch)
     # one workspace per batch shape: a full minibatch and an epoch's short last one
     spaces = {k: _Workspace(w_layers, (len(params), k)) for k in {min(size, n), (n - 1) % size + 1}}
     if not minibatch_size:  # one gather, one gradient per step
-        x, y = dataset.features[labeled], dataset.labels[labeled]
+        x, y = features[labeled], dataset.labels[labeled]
         _stack_grad(w_layers, g_layers, x, y, spaces[n])
     for epoch in range(epochs):
         if minibatch_size:  # one gather per epoch, in its shuffled order
             orders = {k: s.derive(f"epoch{epoch}").permutation(n) for k, s in shuffles.items()}
             rows = np.take_along_axis(labeled, np.stack([orders[seed] for seed in seeds]), axis=1)
-            x, y = dataset.features[rows], dataset.labels[rows]
+            x, y = features[rows], dataset.labels[rows]
         for start in range(0, n, size):
             if minibatch_size:
                 xb = x[:, start:start + size]
@@ -351,7 +363,7 @@ def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
             _stack_grad(w_layers, g_layers, x, y, spaces[n])
         if on_epoch is not None:
             on_epoch(epoch, params, None if minibatch_size else grad)
-    return params, diverged
+    return params.astype(float), diverged
 
 
 def train(model: ModelState, dataset: Dataset, indices, cfg: TrainConfig) -> ModelState:

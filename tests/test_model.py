@@ -9,6 +9,7 @@ from gradal.data import Dataset, make_blobs
 from gradal.model import (
     FULL,
     LAST_LAYER,
+    TRAIN_DTYPE,
     ArchSpec,
     ModelState,
     TrainConfig,
@@ -274,12 +275,14 @@ def test_train_stack_draws_each_distinct_seeds_shuffle_once_an_epoch(monkeypatch
 
 @pytest.mark.parametrize("minibatch_size", [4, 0])
 def test_train_stack_per_row_rates_match_separate_train_calls(minibatch_size):
+    # rates and momentum are cast to TRAIN_DTYPE once, so a float64 rate vector
+    # and float64 momentum step as the python floats of one-rate calls do
     ds = tiny_dataset(n=60)
     arch = tiny_arch()
     init, labeled = init_model(arch, 3), np.arange(0, 60, 3)
     rates = [0.3, 0.05, 0.001]
     params, diverged = train_stack(arch, [init.params] * 3, [labeled] * 3, [9] * 3, ds,
-                                   np.array(rates), 0.9, minibatch_size, 5)
+                                   np.array(rates), np.float64(0.9), minibatch_size, 5)
     assert diverged.tolist() == [-1, -1, -1]
     for m, rate in enumerate(rates):
         alone, _ = train_stack(arch, [init.params], [labeled], [9], ds, rate, 0.9,
@@ -287,15 +290,51 @@ def test_train_stack_per_row_rates_match_separate_train_calls(minibatch_size):
         assert np.array_equal(params[m], alone[0]), rate
 
 
+def test_train_stack_and_train_step_in_train_dtype_and_return_float64():
+    # the stored params are float64, and every value is one the float32 step gave
+    ds = tiny_dataset(n=60)
+    arch = tiny_arch()
+    init, labeled = init_model(arch, 3), np.arange(0, 60, 3)
+    cfg = TrainConfig(learning_rate=0.05, epochs=3, momentum=0.9, minibatch_size=4, seed=9)
+    seen = []
+    params, _ = train_stack(arch, [init.params] * 2, [labeled] * 2, [9, 4], ds,
+                            *_stack_args(cfg), on_epoch=lambda epoch, p, g: seen.append(p.dtype))
+    model = train(init, ds, labeled, cfg)
+    assert seen == [TRAIN_DTYPE] * cfg.epochs
+    for trained in (params, model.params):
+        assert trained.dtype == np.float64
+        assert trained.astype(TRAIN_DTYPE).astype(np.float64).tobytes() == trained.tobytes()
+    assert model.params.tobytes() == params[0].tobytes()
+    assert not np.array_equal(params[0], params[1])
+    assert not np.array_equal(model.params, init.params.astype(TRAIN_DTYPE))
+
+
+@pytest.mark.parametrize("dtype", [TRAIN_DTYPE, np.float64])
+def test_passes_run_at_the_dtype_of_their_params(dtype):
+    # a float32 stack's workspace, activations and gradient are float32 even
+    # on float64 features; float64 params (inference, scoring) stay float64
+    ds = tiny_dataset()
+    arch = tiny_arch()
+    params = init_model(arch, 0).params.astype(dtype)[None]
+    x, y = ds.features[:5][None], ds.labels[:5][None]
+    layers = _layers(params, arch)
+    ws = _Workspace(layers, x.shape[:-1])
+    assert {a.dtype for a in [*ws.outs, ws.row, *ws.outs_t]} == {np.dtype(dtype)}
+    acts, logits = _forward(layers, x, ws)
+    assert {a.dtype for a in [*acts, logits]} == {np.dtype(dtype)}
+    for scope in (FULL, LAST_LAYER):
+        assert _grad_pass(arch, params, x, y, scope)().dtype == dtype
+
+
 def test_train_stack_diverging_row_leaves_other_rows_unchanged():
-    # row 1 trains on points scaled by 1e150, which overflow at this rate;
-    # rows 0 and 2 train on unscaled points and stay finite
+    # row 1 trains on points scaled by 1e20, which overflow float32 at this
+    # rate; rows 0 and 2 train on unscaled points and stay finite
     base = make_blobs(80, 3, 4, spread=0.8, seed=2)
     features = base.features.copy()
-    features[60:] *= 1e150
+    features[60:] *= 1e20
     ds = Dataset(features, base.labels, 3)
     arch = tiny_arch()
-    cfg = TrainConfig(learning_rate=1e10, epochs=6, minibatch_size=4, seed=0)
+    cfg = TrainConfig(learning_rate=1e3, epochs=6, minibatch_size=4, seed=0)
     inits = [init_model(arch, s) for s in range(3)]
     labeled = [np.arange(0, 30, 2), np.arange(60, 75), np.arange(1, 31, 2)]
     seeds = [5, 6, 7]
@@ -305,10 +344,18 @@ def test_train_stack_diverging_row_leaves_other_rows_unchanged():
         with pytest.raises(ArithmeticError) as lone:
             train(inits[1], ds, labeled[1], replace(cfg, seed=seeds[1]))
     assert diverged[0] == diverged[2] == -1 and diverged[1] >= 0
-    assert f"diverged at epoch {diverged[1]} at learning rate 1e+10" in str(lone.value)
+    assert f"diverged at epoch {diverged[1]} at learning rate 1000" in str(lone.value)
     for m in (0, 2):
         alone = train(inits[m], ds, labeled[m], replace(cfg, seed=seeds[m]))
         assert np.array_equal(params[m], alone.params), m
+
+
+def _discrepancy(arch, ds, params, s, s_j, scope):
+    """||mean_grad(S) - mean_grad(S_J)|| at the scope, at the dtype of the flat
+    ``params`` (the monitor's precision for the engine's params)."""
+    g_s, g_sj = (_grad_pass(arch, params[None], ds.features[rows][None].astype(params.dtype),
+                            ds.labels[rows][None], scope)()[0] for rows in (s, s_j))
+    return l2_norm(g_s - g_sj)
 
 
 def test_train_stack_full_batch_reproduces_contraction_trace():
@@ -321,15 +368,16 @@ def test_train_stack_full_batch_reproduces_contraction_trace():
     init = init_model(arch, seed=derive_seed(cfg.seed, "init"))
 
     def discrepancy(params):
-        model = ModelState(params, arch)
-        return l2_norm(mean_grad_embedding(model, ds, s, FULL)
-                       - mean_grad_embedding(model, ds, s_j, FULL))
+        return _discrepancy(arch, ds, params, s, s_j, FULL)
 
-    params, velocity, expected = init.params.copy(), np.zeros(arch.n_params), []
+    features = ds.features.astype(TRAIN_DTYPE)
+    params, expected = init.params.astype(TRAIN_DTYPE), []
+    velocity = np.zeros(arch.n_params, TRAIN_DTYPE)
+    rate, momentum = TRAIN_DTYPE(cfg.learning_rate), TRAIN_DTYPE(cfg.momentum)
     for _ in range(cfg.epochs):
-        grad = _grad_pass(arch, params[None], ds.features[s][None], ds.labels[s][None], FULL)()[0]
-        velocity = cfg.momentum * velocity + grad
-        params = params - cfg.learning_rate * velocity
+        grad = _grad_pass(arch, params[None], features[s][None], ds.labels[s][None], FULL)()[0]
+        velocity = momentum * velocity + grad
+        params = params - rate * velocity
         expected.append(discrepancy(params))
 
     seen = []
@@ -338,7 +386,7 @@ def test_train_stack_full_batch_reproduces_contraction_trace():
                                     on_epoch=lambda epoch, p, g: seen.append(discrepancy(p[0])))
     report = run_contraction_trace(cfg, ds, sample_indices=s, subset_indices=s_j)
     assert diverged.tolist() == [-1]
-    assert np.array_equal(stacked[0], params)
+    assert stacked[0].tobytes() == params.astype(float).tobytes()
     assert seen == expected
     assert report.df_norms.tolist() == expected
 
@@ -369,26 +417,27 @@ def test_train_stack_minibatch_hands_on_no_gradient():
 
 
 def _reference_trace(ds, cfg, s, s_j):
-    """A trace's df_norms, written out: per epoch, reshuffled minibatches
-    (one unshuffled full batch at minibatch_size 0), each a momentum step,
-    then the discrepancy at cfg.scope."""
+    """A trace's df_norms, written out at the engine's precision: per epoch,
+    reshuffled minibatches (one unshuffled full batch at minibatch_size 0),
+    each a momentum step, then the discrepancy at cfg.scope."""
     arch = ArchSpec(input_dim=ds.n_features, n_classes=ds.n_classes,
                     hidden_widths=cfg.hidden_widths)
-    params = init_model(arch, seed=derive_seed(cfg.seed, "init")).params.copy()
-    velocity, shuffle, expected = np.zeros(arch.n_params), Rng(cfg.seed, "shuffle"), []
+    params = init_model(arch, seed=derive_seed(cfg.seed, "init")).params.astype(TRAIN_DTYPE)
+    velocity, shuffle = np.zeros(arch.n_params, TRAIN_DTYPE), Rng(cfg.seed, "shuffle")
+    expected = []
+    features = ds.features.astype(TRAIN_DTYPE)
+    rate, momentum = TRAIN_DTYPE(cfg.learning_rate), TRAIN_DTYPE(cfg.momentum)
     step = cfg.minibatch_size or s.size
     for epoch in range(cfg.epochs):
         order = (shuffle.derive(f"epoch{epoch}").permutation(s.size) if cfg.minibatch_size
                  else np.arange(s.size))
         for start in range(0, s.size, step):
             batch = s[order[start:start + step]]
-            grad = _grad_pass(arch, params[None], ds.features[batch][None],
+            grad = _grad_pass(arch, params[None], features[batch][None],
                               ds.labels[batch][None], FULL)()[0]
-            velocity = cfg.momentum * velocity + grad
-            params = params - cfg.learning_rate * velocity
-        model = ModelState(params, arch)
-        expected.append(l2_norm(mean_grad_embedding(model, ds, s, cfg.scope)
-                                - mean_grad_embedding(model, ds, s_j, cfg.scope)))
+            velocity = momentum * velocity + grad
+            params = params - rate * velocity
+        expected.append(_discrepancy(arch, ds, params, s, s_j, cfg.scope))
     return expected
 
 
@@ -687,12 +736,13 @@ def test_predict_proba_and_loss_mean_equal_reduction_forms_bitwise():
 
 def _reference_train_stack(arch, params, labeled, seeds, ds, rates, momentum, minibatch_size,
                            epochs):
-    """``train_stack`` as a plain loop: per epoch, each row's shuffle (none in
-    full-batch mode), then per minibatch a fresh gather, ``_reference_stack_grad``
-    and the momentum step written out."""
-    params, labeled = np.array(params, dtype=float), np.asarray(labeled)
+    """``train_stack`` as a plain loop at the engine's precision: per epoch,
+    each row's shuffle (none in full-batch mode), then per minibatch a fresh
+    gather, ``_reference_stack_grad`` and the momentum step written out."""
+    params, labeled = np.array(params, dtype=TRAIN_DTYPE), np.asarray(labeled)
     velocity, grad = np.zeros_like(params), np.empty_like(params)
-    rates, n = np.reshape(rates, (-1, 1)), labeled.shape[1]
+    features, momentum = ds.features.astype(TRAIN_DTYPE), TRAIN_DTYPE(momentum)
+    rates, n = np.reshape(rates, (-1, 1)).astype(TRAIN_DTYPE), labeled.shape[1]
     size, diverged = minibatch_size or n, np.full(len(params), -1)
     for epoch in range(epochs):
         rows = labeled
@@ -702,13 +752,13 @@ def _reference_train_stack(arch, params, labeled, seeds, ds, rates, momentum, mi
         for start in range(0, n, size):
             batch = rows[:, start:start + size]
             _reference_stack_grad(_layers(params, arch), _layers(grad, arch),
-                                  ds.features[batch], ds.labels[batch])
+                                  features[batch], ds.labels[batch])
             velocity = momentum * velocity + grad
             params = params - rates * velocity
         diverged[(diverged < 0) & ~np.isfinite(params).all(axis=1)] = epoch
         if (diverged >= 0).all():
             break
-    return params, diverged
+    return params.astype(float), diverged
 
 
 @pytest.mark.parametrize("minibatch_size, n", [(8, 30), (8, 32), (8, 5), (0, 30)],
@@ -730,15 +780,15 @@ def test_train_stack_equals_reference_loop_bitwise(minibatch_size, n, momentum, 
 
 @pytest.mark.parametrize("minibatch_size", [4, 0])
 def test_train_stack_diverging_row_equals_reference_loop_bitwise(minibatch_size):
-    # row 1 trains on points scaled by 1e150 and overflows; NaN and inf bits must match too
+    # row 1 trains on points scaled by 1e20 and overflows float32; NaN and inf bits must match too
     base = make_blobs(80, 3, 4, spread=0.8, seed=2)
     features = base.features.copy()
-    features[60:] *= 1e150
+    features[60:] *= 1e20
     ds = Dataset(features, base.labels, 3)
     arch = tiny_arch()
     params = [init_model(arch, s).params for s in range(3)]
     labeled = [np.arange(0, 30, 2), np.arange(60, 75), np.arange(1, 31, 2)]
-    args = (arch, params, labeled, [5, 6, 7], ds, 1e10, 0.9, minibatch_size, 6)
+    args = (arch, params, labeled, [5, 6, 7], ds, 1e3, 0.9, minibatch_size, 6)
     with np.errstate(all="ignore"):
         got, diverged = train_stack(*args)
         want, want_diverged = _reference_train_stack(*args)
