@@ -43,12 +43,12 @@ from .data import (
     Dataset,
     PoolState,
     SplitSpec,
-    Standardizer,
     init_pool,
     load_csv,
     make_blobs,
     make_shifted,
     split,
+    standardized,
     write_csv,
 )
 from .evaluation import (

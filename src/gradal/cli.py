@@ -35,12 +35,12 @@ from .data import (
     Dataset,
     PoolState,
     SplitSpec,
-    Standardizer,
     init_pool,
     load_csv,
     make_blobs,
     make_shifted,
     split,
+    standardized,
 )
 from .evaluation import (
     ComparisonSlice,
@@ -163,37 +163,50 @@ def _section(cls, config: dict, name: str, default=None, **given):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def build_dataset(cfg: dict, where: str = "dataset.") -> Dataset:
-    kind = _get(cfg, "kind", str, required=True, where=where)
+def build_dataset(cfg: dict) -> Dataset:
+    """The dataset of a ``dataset`` section; a field with no default is required."""
+    def get(name, kind, default=None):
+        return _get(cfg, name, kind, default, default is None, "dataset.")
+
+    kind = get("kind", str)
     if kind == "blobs":
-        _only(cfg, "kind n_samples n_classes n_features spread seed".split(), where)
+        _only(cfg, "kind n_samples n_classes n_features spread seed".split(), "dataset.")
         try:
-            return make_blobs(
-                n_samples=_get(cfg, "n_samples", int, required=True, where=where),
-                n_classes=_get(cfg, "n_classes", int, required=True, where=where),
-                n_features=_get(cfg, "n_features", int, required=True, where=where),
-                spread=_get(cfg, "spread", float, required=True, where=where),
-                seed=_get(cfg, "seed", int, 0, where=where),
-            )
+            return make_blobs(get("n_samples", int), get("n_classes", int),
+                              get("n_features", int), get("spread", float), get("seed", int, 0))
         except ValueError as exc:
             raise ConfigError(f"dataset: {exc}") from exc
     if kind == "csv":
-        _only(cfg, "kind path label_column".split(), where)
-        path = _get(cfg, "path", str, required=True, where=where)
-        label = _get(cfg, "label_column", str, "label", where=where)
+        _only(cfg, "kind path label_column".split(), "dataset.")
+        path, label = get("path", str), get("label_column", str, "label")
         try:
             return load_csv(path, label_column=label)
         except ColumnError as exc:
-            raise ConfigError(f"{where}label_column: {exc}") from exc
+            raise ConfigError(f"dataset.label_column: {exc}") from exc
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"{where}path: {exc}") from exc
-    raise ConfigError(f"{where}kind: unknown dataset kind {kind!r}")
+            raise ConfigError(f"dataset.path: {exc}") from exc
+    raise ConfigError(f"dataset.kind: unknown dataset kind {kind!r}")
 
 
-def _standardized(dataset: Dataset, train_idx: np.ndarray) -> Dataset:
-    scaler = Standardizer.fit(dataset.features[train_idx])
-    return Dataset(scaler.transform(dataset.features), dataset.labels.copy(),
-                   dataset.n_classes, name=dataset.name)
+def _learner(config: dict, dataset_cfg=None, model=None, train=None):
+    """(dataset, arch, train config, scope) of a verb that trains. The dataset
+    comes from ``dataset_cfg``, else the config's ``dataset``; an absent
+    ``model`` or ``train`` section reads as the dict passed under its name."""
+    dataset = build_dataset(_get(config, "dataset", dict, required=True)
+                            if dataset_cfg is None else dataset_cfg)
+    arch = _section(ArchSpec, config, "model", model,
+                    input_dim=dataset.n_features, n_classes=dataset.n_classes)
+    train_cfg = _section(TrainConfig, config, "train", train, seed=0)
+    return dataset, arch, train_cfg, _get(config, "scope", str, LAST_LAYER, choices=SCOPES)
+
+
+def _split(config: dict, dataset: Dataset):
+    """The ``split`` section and the (train, validation, test) rows it carves."""
+    spec = _section(SplitSpec, config, "split")
+    try:
+        return spec, split(dataset, spec)
+    except ValueError as exc:
+        raise ConfigError(f"split: {exc}") from exc
 
 
 def _trained(arch: ArchSpec, dataset: Dataset, labeled, train_cfg: TrainConfig, seeds):
@@ -307,13 +320,8 @@ def cmd_run(config: dict, out_flag=None) -> int:
     started = _timestamp()
     _only(config, "out_dir dataset split model train methods scope seeds batch_size rounds "
                   "initial_size sweep_lr standardize".split())
-    dataset = build_dataset(_get(config, "dataset", dict, required=True))
-    split_spec = _section(SplitSpec, config, "split")
-    arch = _section(ArchSpec, config, "model",
-                    input_dim=dataset.n_features, n_classes=dataset.n_classes)
-    train_cfg = _section(TrainConfig, config, "train", seed=0)
+    dataset, arch, train_cfg, scope = _learner(config)
     methods = _get(config, "methods", [str], METHODS, choices=METHODS)
-    scope = _get(config, "scope", str, LAST_LAYER, choices=SCOPES)
     seeds = _get(config, "seeds", [int], (0,))
     b = _get(config, "batch_size", int, required=True, minimum=1)
     rounds = _get(config, "rounds", int, required=True, minimum=0)
@@ -321,11 +329,11 @@ def cmd_run(config: dict, out_flag=None) -> int:
     sweep_lr = _get(config, "sweep_lr", bool, False)
     standardize = _get(config, "standardize", bool, False)
 
-    train_idx, val_idx, _ = split(dataset, split_spec)
+    split_spec, (train_idx, val_idx, _) = _split(config, dataset)
     if sweep_lr and not val_idx.size:
         raise ConfigError("sweep_lr: needs a validation split (split.validation_fraction)")
     if standardize:
-        dataset = _standardized(dataset, train_idx)
+        dataset = standardized(dataset, train_idx)
 
     cfgs = [ExperimentConfig(
         arch=arch, train=train_cfg, method=method, b=b, rounds=rounds,
@@ -444,12 +452,10 @@ def cmd_compare(results_dir, slice_name: str, alpha: float, out_flag=None) -> in
 def cmd_geometry(config: dict, out_flag=None) -> int:
     started = _timestamp()
     _only(config, "out_dir dataset model train methods scope seed initial_size batch_sizes".split())
-    dataset = build_dataset(_get(config, "dataset", dict, required=True))
-    arch = _section(ArchSpec, config, "model",
-                    input_dim=dataset.n_features, n_classes=dataset.n_classes)
-    train_cfg = _section(TrainConfig, config, "train", seed=0)
+    dataset, arch, train_cfg, scope = _learner(config)
+    if dataset.n_features < 2:
+        raise ConfigError("dataset: needs at least 2 features to project onto 2 axes")
     methods = _get(config, "methods", [str], METHODS, choices=METHODS)
-    scope = _get(config, "scope", str, LAST_LAYER, choices=SCOPES)
     seed = _get(config, "seed", int, 0)
     initial_size = _get(config, "initial_size", int, 10)
     if not 1 <= initial_size < dataset.n_samples:
@@ -464,7 +470,7 @@ def cmd_geometry(config: dict, out_flag=None) -> int:
     emb = grad_embeddings(model, dataset.features, scope=scope)
     emb_xy = pca_project(emb, 2)
 
-    batches, hashes = {}, {}
+    batches, hashes, rows_input, rows_emb = {}, {}, [], []
     for method in methods:
         batches[method] = {}
         for b in batch_sizes:
@@ -472,15 +478,9 @@ def cmd_geometry(config: dict, out_flag=None) -> int:
             batch, _ = timed_select(method, model, dataset, pool, b, rng, scope=scope)
             batches[method][str(b)] = batch.indices
             hashes[f"{method}/B{b}"] = hashlib.sha256(model.params.tobytes()).hexdigest()
-
-    labeled_set = set(pool.labeled.tolist())
-    rows_input, rows_emb = [], []
-    for method in methods:
-        for b in batch_sizes:
-            acquired = set(batches[method][str(b)].tolist())
-            for i in range(dataset.n_samples):
-                role = ("initial" if i in labeled_set
-                        else "acquired" if i in acquired else "pool")
+            roles = np.full(dataset.n_samples, "pool", dtype=object)
+            roles[batch.indices], roles[pool.labeled] = "acquired", "initial"
+            for i, role in enumerate(roles):
                 rows_input.append([method, b, i, input_xy[i, 0], input_xy[i, 1], role])
                 rows_emb.append([method, b, i, emb_xy[i, 0], emb_xy[i, 1], role])
 
@@ -518,17 +518,15 @@ def _shift_vector(config: dict, dataset: Dataset) -> np.ndarray:
 def cmd_shift(config: dict, out_flag=None) -> int:
     started = _timestamp()
     _only(config, "out_dir dataset split model train scope seeds shift eval_size".split())
-    dataset = build_dataset(_get(config, "dataset", dict, required=True))
-    split_spec = _section(SplitSpec, config, "split")
-    arch = _section(ArchSpec, config, "model",
-                    input_dim=dataset.n_features, n_classes=dataset.n_classes)
-    train_cfg = _section(TrainConfig, config, "train", seed=0)
-    scope = _get(config, "scope", str, LAST_LAYER, choices=SCOPES)
+    dataset, arch, train_cfg, scope = _learner(config)
     seeds = _get(config, "seeds", [int], (0,))
     shift = _shift_vector(config, dataset)
-    shifted = make_shifted(dataset, shift)
+    try:
+        shifted = make_shifted(dataset, shift)
+    except ValueError as exc:  # features the shift takes past float64
+        raise ConfigError(f"shift: {exc}") from exc
 
-    train_idx, _, test_idx = split(dataset, split_spec)
+    _, (train_idx, _, test_idx) = _split(config, dataset)
     eval_size = _get(config, "eval_size", int, int(test_idx.size))
     if not 1 <= eval_size <= test_idx.size:
         raise ConfigError(f"eval_size: must be in [1, {test_idx.size}]")
@@ -536,8 +534,11 @@ def cmd_shift(config: dict, out_flag=None) -> int:
 
     per_seed, rows = [], []
     for seed, model in zip(seeds, _trained(arch, dataset, train_idx, train_cfg, seeds)):
-        base_scores = df_scores(model, dataset, train_idx, eval_idx, scope=scope)
-        shift_scores = df_scores(model, shifted, train_idx, eval_idx, scope=scope)
+        with np.errstate(over="ignore", invalid="ignore"):
+            base_scores = df_scores(model, dataset, train_idx, eval_idx, scope=scope)
+            shift_scores = df_scores(model, shifted, train_idx, eval_idx, scope=scope)
+        if not np.isfinite([base_scores, shift_scores]).all():
+            raise ConfigError("shift: scores overflow at this shift")
         per_seed.append({
             "seed": seed,
             "base_mean": base_scores.mean(),
@@ -597,7 +598,6 @@ def cmd_timing(config: dict, out_flag=None) -> int:
     initial_size = _get(config, "initial_size", int, batch_size, minimum=1)
     seed = _get(config, "seed", int, 0)
     methods = _get(config, "methods", [str], METHODS, choices=METHODS)
-    scope = _get(config, "scope", str, LAST_LAYER, choices=SCOPES)
     if pool_size < batch_size * rounds:
         raise ConfigError("pool_size: too small for rounds x batch_size")
 
@@ -605,13 +605,10 @@ def cmd_timing(config: dict, out_flag=None) -> int:
     if dataset_cfg.get("kind", "blobs") == "blobs":
         dataset_cfg = {"kind": "blobs", "n_classes": 10, "n_features": 20, "spread": 2.0,
                        "n_samples": pool_size + initial_size, **dataset_cfg}
-    dataset = build_dataset(dataset_cfg)
+    dataset, arch, train_cfg, scope = _learner(config, dataset_cfg, {"hidden_widths": [128, 64]},
+                                               {"epochs": 3, "learning_rate": 0.01})
     if dataset.n_samples < pool_size + initial_size:
         raise ConfigError("dataset.n_samples: smaller than pool_size + initial_size")
-    arch = _section(ArchSpec, config, "model", {"hidden_widths": [128, 64]},
-                    input_dim=dataset.n_features, n_classes=dataset.n_classes)
-    train_cfg = _section(TrainConfig, config, "train", {"epochs": 3, "learning_rate": 0.01},
-                         seed=0)
 
     base = init_pool(np.arange(dataset.n_samples), initial_size, seed)
     start_pool = PoolState(labeled=base.labeled, unlabeled=base.unlabeled[:pool_size])

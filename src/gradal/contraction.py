@@ -56,6 +56,8 @@ class ContractionConfig:
             raise ValueError(f"unknown scope {self.scope!r}")
         if self.minibatch_size < 0:
             raise ValueError("minibatch_size must be >= 0")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
 
     @property
     def subset_size(self) -> int:
@@ -134,8 +136,9 @@ def run_contraction_trace(cfg: ContractionConfig, dataset: Dataset,
     # copy of the stack's params, each gathered and bound once, at the
     # engine's precision: its full-batch g_S and g_{S_J} share arithmetic
     current = np.empty((1, arch.n_params), TRAIN_DTYPE)
-    s_j_grad, s_grad = (_grad_pass(arch, current, dataset.features[rows][None].astype(TRAIN_DTYPE),
-                                   dataset.labels[rows][None], cfg.scope) for rows in (s_j, s))
+    with np.errstate(over="ignore"):  # a feature past float32 diverges in training
+        s_j_grad, s_grad = (_grad_pass(arch, current, dataset.features[rows][None].astype(
+            TRAIN_DTYPE), dataset.labels[rows][None], cfg.scope) for rows in (s_j, s))
 
     def monitor(epoch, params, grad):
         current[:] = params

@@ -95,22 +95,13 @@ class PoolState:
         return PoolState(np.sort(np.concatenate([self.labeled, indices])), pool[keep])
 
 
-@dataclass
-class Standardizer:
-    """Per-feature mean/std transform fitted on training features."""
-
-    mean: np.ndarray
-    std: np.ndarray
-
-    @classmethod
-    def fit(cls, features: np.ndarray) -> "Standardizer":
-        features = np.asarray(features, dtype=float)
-        mean = features.mean(axis=0)
-        std = features.std(axis=0)
-        return cls(mean=mean, std=np.maximum(std, STD_FLOOR))
-
-    def transform(self, features: np.ndarray) -> np.ndarray:
-        return (np.asarray(features, dtype=float) - self.mean) / self.std
+def standardized(dataset: Dataset, rows) -> Dataset:
+    """``dataset`` with each feature centered on its mean over ``rows`` and
+    divided by its std over ``rows``, floored at STD_FLOOR."""
+    fit = dataset.features[rows]
+    std = np.maximum(fit.std(axis=0), STD_FLOOR)
+    return Dataset((dataset.features - fit.mean(axis=0)) / std, dataset.labels.copy(),
+                   dataset.n_classes, name=dataset.name)
 
 
 def _encode_labels(raw: list) -> tuple:
@@ -195,6 +186,8 @@ def make_blobs(n_samples: int, n_classes: int, n_features: int,
     Cluster centers are drawn uniformly from [-5, 5]^d using only the seed,
     so identical arguments always produce a bit-identical dataset.
     """
+    if n_classes < 2 or n_features < 1:
+        raise ValueError("need n_classes >= 2 and n_features >= 1")
     if n_samples < n_classes:
         raise ValueError("need at least one sample per class")
     rng = Rng(seed, "blobs")

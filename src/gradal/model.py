@@ -311,6 +311,7 @@ def _grad_pass(arch: ArchSpec, params: np.ndarray, x: np.ndarray, y: np.ndarray,
     return run
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
                 learning_rate, momentum: float, minibatch_size: int,
                 epochs: int, on_epoch=None):
@@ -320,35 +321,38 @@ def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
     minibatch may be short, and minibatch_size 0 takes one full-batch step
     per epoch. ``learning_rate`` is one rate for all rows or an (M,) vector,
     one per row. It steps in ``TRAIN_DTYPE``: params, velocity, buffers, and
-    the features, rates and momentum, each cast once a call. Each epoch's rows
-    are gathered once. Rows share no arithmetic, so a row gets the bits it
-    would get alone. After each epoch, ``on_epoch(epoch, params, grad)`` sees
-    the TRAIN_DTYPE stack and, in full-batch mode, the gradient at it that
-    the next step takes (else None). Returns the trained (M, n_params) stack
-    as float64 and, per row, the first epoch after which its params were not
-    finite (-1: none); training stops once every row is.
+    the labeled rows, rates and momentum, each cast once a call. Each epoch's
+    rows are gathered once. Rows share no arithmetic, so a row gets the bits
+    it would get alone. After each epoch, ``on_epoch(epoch, params, grad)``
+    sees the TRAIN_DTYPE stack and, in full-batch mode, the gradient at it
+    that the next step takes (else None). Returns the trained (M, n_params)
+    stack as float64 and, per row, the first epoch after which its params
+    were not finite (-1: none), with no overflow warning; training stops
+    once every row is.
     """
     params = np.array(params, dtype=TRAIN_DTYPE)
     labeled = np.asarray(labeled, dtype=np.int64)
+    read, local = np.unique(labeled, return_inverse=True)  # from here labeled indexes read
+    labeled = local.reshape(labeled.shape)
+    features, labels = dataset.features[read].astype(TRAIN_DTYPE), dataset.labels[read]
     shuffles = {seed: Rng(seed, "shuffle") for seed in seeds}  # one draw per distinct seed
     diverged = np.full(len(params), -1)
     n = labeled.shape[1]
     size = minibatch_size or n
     rates = np.reshape(learning_rate, (-1, 1)).astype(TRAIN_DTYPE)
     momentum = TRAIN_DTYPE(momentum)
-    features = dataset.features.astype(TRAIN_DTYPE)
     velocity, grad, step = np.zeros_like(params), np.empty_like(params), np.empty_like(params)
     w_layers, g_layers = _layers(params, arch), _layers(grad, arch)
     # one workspace per batch shape: a full minibatch and an epoch's short last one
     spaces = {k: _Workspace(w_layers, (len(params), k)) for k in {min(size, n), (n - 1) % size + 1}}
     if not minibatch_size:  # one gather, one gradient per step
-        x, y = features[labeled], dataset.labels[labeled]
+        x, y = features[labeled], labels[labeled]
         _stack_grad(w_layers, g_layers, x, y, spaces[n])
     for epoch in range(epochs):
         if minibatch_size:  # one gather per epoch, in its shuffled order
             orders = {k: s.derive(f"epoch{epoch}").permutation(n) for k, s in shuffles.items()}
             rows = np.take_along_axis(labeled, np.stack([orders[seed] for seed in seeds]), axis=1)
-            x, y = features[rows], dataset.labels[rows]
+            x, y = features[rows], labels[rows]
         for start in range(0, n, size):
             if minibatch_size:
                 xb = x[:, start:start + size]

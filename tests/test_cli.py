@@ -433,11 +433,80 @@ def test_runtime_failure_exits_1_and_writes_nothing(tmp_path, capsys):
     config["train"]["learning_rate"] = 1e300  # every seed diverges
     path = write_config(tmp_path, config)
     out = tmp_path / "out"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["run", "--config", str(path), "--out", str(out)])
+    code = main(["run", "--config", str(path), "--out", str(out)])
     assert code == 1
     assert "all seeds failed" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ------------------------------------------------------------ config walk
+
+WALK_VALUES = [0, -1, 1, 2, 0.5, -0.5, 1.5, 1e300, True, None, "x", [], [0], [1, 1], {}]
+
+
+def walk_config(verb):
+    """A small valid config of ``verb`` that sets every field the verb reads."""
+    dataset = {"kind": "blobs", "n_samples": 40, "n_classes": 2, "n_features": 2,
+               "spread": 1.0, "seed": 0}
+    split = {"test_fraction": 0.25, "validation_fraction": 0.25, "seed": 0, "stratified": True}
+    learner = {"out_dir": "unused", "dataset": dataset, "model": {"hidden_widths": [3]},
+               "train": {"learning_rate": 0.01, "epochs": 1, "momentum": 0.9,
+                         "minibatch_size": 8}, "scope": "last_layer"}
+    methods = ["grad", "entropy", "badge", "kcenter", "random"]
+    return {
+        "run": {**learner, "split": split, "methods": methods, "seeds": [0], "batch_size": 2,
+                "rounds": 1, "initial_size": 4, "sweep_lr": False, "standardize": False},
+        "geometry": {**learner, "methods": methods, "seed": 0, "initial_size": 4,
+                     "batch_sizes": [2, 3]},
+        "shift": {**learner, "split": split, "seeds": [0], "shift": 1.0, "eval_size": 5},
+        "contraction": {"out_dir": "unused", "dataset": dataset, "contraction": {
+            "s_size": 20, "subset_fraction": 0.25, "epochs": 1, "learning_rate": 0.01, "seed": 0,
+            "scope": "full", "hidden_widths": [3], "momentum": 0.0, "minibatch_size": 0}},
+        "timing": {**learner, "methods": methods, "pool_size": 20, "batch_size": 2, "rounds": 2,
+                   "initial_size": 4, "seed": 0},
+    }[verb]
+
+
+def field_paths(config, prefix=()):
+    """Every key path of ``config``, a section before its fields."""
+    for key, value in config.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from field_paths(value, prefix + (key,))
+
+
+# a field checked against another may be named by the other
+CHECKED_AGAINST = {"dataset.n_samples": {"split", "initial_size", "contraction"}}
+
+
+@pytest.mark.parametrize("verb", ["run", "geometry", "shift", "contraction", "timing"])
+def test_every_config_field_exits_0_or_2(tmp_path, capsys, verb):
+    # each field in turn takes each value: the verb succeeds, names the field
+    # (its section, or a field inside it) in a config error, or reports
+    # divergence; a failure writes nothing, and no numpy warning escapes
+    # (the suite turns warnings into errors)
+    bad, case = [], 0
+    for path in field_paths(walk_config(verb)):
+        name = ".".join(path)
+        for value in WALK_VALUES:
+            config = walk_config(verb)
+            node = config
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            case += 1
+            out = tmp_path / f"out{case}"
+            code = main([verb, "--config", str(write_config(tmp_path, config)), "--out", str(out)])
+            err = capsys.readouterr().err
+            label = re.sub(r"\[\d+\]$", "", err.removeprefix("config error: ").split(": ")[0])
+            ok = {0: (out / fingerprint_of(config) / "manifest.json").is_file(),
+                  1: "training diverged" in err,
+                  2: err.startswith("config error: ") and (
+                      label in (name, path[0]) or label.startswith(f"{name}.")
+                      or label in CHECKED_AGAINST.get(name, ()))}
+            if not ok.get(code) or code and out.exists():
+                bad.append(f"{name}={json.dumps(value)}: exit {code}: {err.strip()}")
+    assert not bad, "\n".join(bad)
 
 
 # ------------------------------------------------------------ compare
@@ -660,6 +729,18 @@ def test_geometry_methods_differ(tmp_path):
     assert geo["batches"]["entropy"]["10"] != geo["batches"]["grad"]["10"]
 
 
+def test_geometry_one_feature_exits_2_before_training(tmp_path, capsys, monkeypatch):
+    # two principal axes need two features; a 1-feature dataset fails at once
+    config = geometry_config()
+    config["dataset"]["n_features"] = 1
+    monkeypatch.setattr("gradal.cli._trained", lambda *a, **k: pytest.fail("work started"))
+    out = tmp_path / "out"
+    code = main(["geometry", "--config", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: dataset: needs at least 2 features")
+    assert not out.exists()
+
+
 def test_geometry_rejects_bad_batch_sizes(tmp_path):
     config = geometry_config()
     config["batch_sizes"] = [5, 0]
@@ -732,13 +813,23 @@ def test_shift_divergence_exits_1_naming_epoch_and_rate(tmp_path, capsys):
     config = shift_config()
     config["train"]["learning_rate"] = 1e300
     out = tmp_path / "out"
-    with np.errstate(all="ignore"):
-        code = main(["shift", "--config", str(write_config(tmp_path, config)),
-                     "--out", str(out)])
+    code = main(["shift", "--config", str(write_config(tmp_path, config)), "--out", str(out)])
     assert code == 1
     assert re.match(r"error: training diverged at epoch \d+ at learning rate 1e\+300$",
                     capsys.readouterr().err)
     assert not out.exists()
+
+@pytest.mark.parametrize("shift, spread", [(1e300, 1.0), (1e308, 2.0)],
+                         ids=["scores-overflow", "features-overflow"])
+def test_shift_past_float64_exits_2_naming_shift(tmp_path, capsys, shift, spread):
+    config = shift_config(shift=shift)
+    config["dataset"]["spread"] = spread
+    out = tmp_path / "out"
+    code = main(["shift", "--config", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: shift: ")
+    assert not out.exists()
+
 
 def test_shift_vector_length_checked(tmp_path):
     config = shift_config(shift=[1.0, 2.0])

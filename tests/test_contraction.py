@@ -203,6 +203,13 @@ def test_config_validation():
         small_cfg(scope="penultimate")
 
 
+@pytest.mark.parametrize("momentum", [-1.0, 1.0, 1.5, 1e300])
+def test_config_rejects_momentum_outside_0_1(momentum):
+    with pytest.raises(ValueError, match=r"momentum must be in \[0, 1\)"):
+        small_cfg(momentum=momentum)
+    assert small_cfg(momentum=0.5).momentum == 0.5
+
+
 def test_trace_rejects_oversized_sample():
     ds = blob_data(n=30)
     with pytest.raises(ValueError):

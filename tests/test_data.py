@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from gradal.data import (
+    STD_FLOOR,
     Dataset,
     PoolState,
     SplitSpec,
-    Standardizer,
     init_pool,
     load_csv,
     make_blobs,
     make_shifted,
     split,
+    standardized,
     write_csv,
 )
 
@@ -51,6 +52,12 @@ def test_make_blobs_within_one_balance():
     counts = np.bincount(ds.labels, minlength=3)
     assert counts.max() - counts.min() <= 1
     assert counts.sum() == 301
+
+
+@pytest.mark.parametrize("n_classes, n_features", [(0, 2), (1, 2), (-1, 2), (2, 0), (2, -1)])
+def test_make_blobs_rejects_fewer_than_2_classes_or_no_features(n_classes, n_features):
+    with pytest.raises(ValueError, match="need n_classes >= 2 and n_features >= 1"):
+        make_blobs(10, n_classes, n_features, spread=1.0, seed=0)
 
 
 def test_make_blobs_bit_identical():
@@ -201,19 +208,22 @@ def test_pool_state_rejects_overlap():
 # ---------------------------------------------------------------- scaler
 
 def test_standardizer_normalizes_training_features():
-    feats = blob_fixture().features
-    scaler = Standardizer.fit(feats)
-    out = scaler.transform(feats)
-    assert np.all(np.abs(out.mean(axis=0)) <= 1e-9)
-    assert np.all(np.abs(out.std(axis=0) - 1.0) <= 1e-6)
+    ds = blob_fixture()
+    train = np.arange(0, ds.n_samples, 2)
+    out = standardized(ds, train)
+    assert np.all(np.abs(out.features[train].mean(axis=0)) <= 1e-9)
+    assert np.all(np.abs(out.features[train].std(axis=0) - 1.0) <= 1e-6)
+    assert np.array_equal(out.labels, ds.labels)
+    assert (out.n_classes, out.name) == (ds.n_classes, ds.name)
 
 
 def test_standardizer_floors_constant_features():
-    feats = np.column_stack([np.ones(10), np.arange(10.0)])
-    scaler = Standardizer.fit(feats)
-    assert scaler.std[0] == 1e-8
-    out = scaler.transform(feats)
+    # column 0 is constant, column 1 varies by far less than STD_FLOOR
+    feats = np.column_stack([np.ones(10), np.tile([0.0, 1e-10], 5), np.arange(10.0)])
+    out = standardized(Dataset(feats, np.arange(10) % 2, 2), np.arange(10)).features
     assert np.isfinite(out).all()
+    assert np.array_equal(out[:, 0], np.zeros(10))
+    assert np.array_equal(out[:, 1], (feats[:, 1] - feats[:, 1].mean()) / STD_FLOOR)
 
 
 # ---------------------------------------------------------------- csv

@@ -309,6 +309,27 @@ def test_train_stack_and_train_step_in_train_dtype_and_return_float64():
     assert not np.array_equal(model.params, init.params.astype(TRAIN_DTYPE))
 
 
+def test_train_stack_casts_only_the_rows_it_reads_and_warns_nothing():
+    # one float32 cast, of the distinct labeled rows; a row that overflows
+    # float32 diverges without a numpy warning (the suite makes them errors)
+    casts = []
+
+    class Features(np.ndarray):
+        def astype(self, dtype, *args, **kwargs):
+            casts.append(self.shape)
+            return super().astype(dtype, *args, **kwargs)
+
+    base = tiny_dataset(n=60)
+    ds = Dataset(np.where(np.arange(60)[:, None] < 50, base.features, 1e39), base.labels, 3)
+    ds.features = ds.features.view(Features)
+    arch = tiny_arch()
+    labeled = [np.arange(0, 20, 2), np.arange(10, 60, 5)]  # row 1 reads rows 50 and 55
+    _, diverged = train_stack(arch, [init_model(arch, s).params for s in range(2)], labeled,
+                              [1, 2], ds, 0.05, 0.9, 4, 2)
+    assert casts == [(len(np.union1d(*labeled)), 4)]
+    assert diverged.tolist() == [-1, 0]
+
+
 @pytest.mark.parametrize("dtype", [TRAIN_DTYPE, np.float64])
 def test_passes_run_at_the_dtype_of_their_params(dtype):
     # a float32 stack's workspace, activations and gradient are float32 even
