@@ -175,11 +175,18 @@ def _row_max(z: np.ndarray, out=None) -> np.ndarray:
 
 def _softmax(logits: np.ndarray, out=None, row=None) -> np.ndarray:
     """Softmax over the last axis into ``out`` (may be ``logits``), with the
-    row max, then the row sum, in ``row``; either is fresh if None."""
+    row max, then the row sum, in ``row``; either is fresh if None. Under 8 classes
+    the sum adds columns left to right, np.add.reduce's order there, without its row loop."""
     row = _row_max(logits, row)
     e = np.subtract(logits, row[..., None], out=out)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, out=row)[..., None]
+    if e.shape[-1] < 8:
+        np.add(e[..., 0], e[..., 1], out=row)
+        for j in range(2, e.shape[-1]):
+            np.add(row, e[..., j], out=row)
+    else:
+        np.add.reduce(e, axis=-1, out=row)
+    e /= row[..., None]
     return e
 
 
@@ -276,14 +283,19 @@ def _stack_grad(w_layers, g_layers, x: np.ndarray, y: np.ndarray, ws=None, stop:
     """Write into the views ``g_layers`` the gradient of the mean
     cross-entropy over (x[m], y[m]) at stack row m's parameters ``w_layers``,
     with respect to layers ``stop`` and up (layer i into g_layers[i - stop]),
-    in the ``_Workspace`` ``ws`` of these views for x's shape (fresh if None)."""
+    in the ``_Workspace`` ``ws`` of these views for x's shape (fresh if None).
+    Bias gradients are einsum's in-order column sums, np.add.reduce's bits
+    without its per-row loop; width 1 keeps the reduction (einsum's order differs)."""
     ws = ws or _Workspace(w_layers, x.shape[:-1])
     acts, delta = _output_error(w_layers, x, y, ws)
     delta /= x.shape[-2]
     for i, delta, a in _backward(w_layers, acts, delta, stop, ws):
         gw, gb = g_layers[i - stop]
         np.matmul(ws.outs_t[i], a, out=gw)
-        np.add.reduce(delta, axis=-2, out=gb)
+        if gb.shape[-1] > 1:
+            np.einsum("...nk->...k", delta, out=gb)
+        else:
+            np.add.reduce(delta, axis=-2, out=gb)
 
 
 def _scoped(arch: ArchSpec, scope: str):

@@ -687,6 +687,26 @@ def test_stack_grad_equals_reference_bitwise(with_workspace):
         assert np.array_equal(got, expected)
 
 
+def test_stack_grad_keeps_reference_bits_at_every_shape():
+    # the bias gradients' einsum must add in np.sum's order at every shape the
+    # engine meets; a numpy whose loop order changes fails here, not silently
+    rng = np.random.default_rng(5)
+    for widths in [(1,), (5, 1), (3,), (64,)]:
+        arch = ArchSpec(input_dim=6, n_classes=3, hidden_widths=widths)
+        for m in (1, 3, 10):
+            for n in (1, 7, 8, 9, 100, 1000):
+                for dtype in (np.float32, np.float64):
+                    params = np.stack([init_model(arch, s).params for s in range(m)]).astype(dtype)
+                    x = rng.normal(size=(m, n, 6)).astype(dtype)
+                    y = rng.integers(3, size=(m, n))
+                    expected, got = np.empty_like(params), np.empty_like(params)
+                    _reference_stack_grad(_layers(params, arch), _layers(expected, arch), x, y)
+                    _stack_grad(_layers(params, arch), _layers(got, arch), x, y)
+                    assert got.tobytes() == expected.tobytes(), (
+                        f"numpy {np.__version__}: bits differ first at hidden widths {widths}, "
+                        f"{m} stack rows, {n} batch rows, {np.dtype(dtype).name}")
+
+
 def _reference_softmax(logits):
     """Softmax with the row max taken by the reduction."""
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -716,7 +736,7 @@ def _awkward_logits(c, stacked):
 
 
 @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "stack"])
-@pytest.mark.parametrize("c", [2, 3, 4, 10])
+@pytest.mark.parametrize("c", [2, 3, 4, 5, 6, 7, 8, 10])
 def test_softmax_equals_reduction_form_bitwise(c, stacked):
     logits = _awkward_logits(c, stacked)
     with np.errstate(all="ignore"):
@@ -729,6 +749,16 @@ def test_softmax_equals_reduction_form_bitwise(c, stacked):
     assert fresh.tobytes() == want.tobytes()
     assert in_place.tobytes() == want.tobytes()
     assert log_got.tobytes() == log_want.tobytes()
+
+
+def test_softmax_equals_reduction_form_bitwise_on_the_trace_stack():
+    # the contraction trace's full-batch step: one (1, 1000, 3) float32 stack
+    logits = (np.random.default_rng(6).normal(size=(1, 1000, 3)) * 10).astype(np.float32)
+    want = _reference_softmax(logits)
+    in_place = logits.copy()
+    _softmax(in_place, in_place, np.empty((1, 1000), np.float32))
+    assert _softmax(logits).tobytes() == want.tobytes()
+    assert in_place.tobytes() == want.tobytes()
 
 
 def test_softmax_of_a_negative_nan_equals_reduction_form_up_to_the_nan_sign():
