@@ -30,16 +30,16 @@ def run_one(name, n_samples, n_classes, n_features, spread, data_seed,
     ds = make_blobs(n_samples, n_classes, n_features, spread=spread, seed=data_seed)
     ds.name = name
     arch = ArchSpec(input_dim=n_features, n_classes=n_classes, hidden_widths=widths)
-    cfgs = [ExperimentConfig(
+    cfg = ExperimentConfig(
         arch=arch,
         train=TrainConfig(learning_rate=0.01, epochs=epochs),
-        method=method,
+        methods=METHODS,
         b=b,
         rounds=rounds,
         seeds=tuple(range(10)),
         split_spec=SplitSpec(test_fraction=0.2, seed=0),
-    ) for method in METHODS]
-    results = dict(zip(METHODS, run_experiments(cfgs, ds)))
+    )
+    results = dict(zip(METHODS, run_experiments(cfg, ds)))
     return curves_from_results(results, dataset=name)
 
 

@@ -25,16 +25,16 @@ train_cfg = TrainConfig(learning_rate=0.01, epochs=20)
 
 print(f"pool run: b={BATCH}, T={ROUNDS}, {len(SEEDS)} seeds")
 methods = ("grad", "entropy", "random")
-cfgs = [ExperimentConfig(
+cfg = ExperimentConfig(
     arch=arch,
     train=train_cfg,
-    method=method,
+    methods=methods,
     b=BATCH,
     rounds=ROUNDS,
     seeds=SEEDS,
     split_spec=SplitSpec(test_fraction=0.2, seed=0),
-) for method in methods]
-for method, result in zip(methods, run_experiments(cfgs, dataset)):
+)
+for method, result in zip(methods, run_experiments(cfg, dataset)):
     acc = np.array([[r.test_accuracy for r in records] for records in result.per_seed])
     curve = acc.mean(axis=0)
     sizes = [r.labeled_size for r in result.per_seed[0]]

@@ -33,7 +33,7 @@ SWEEP_RATES = (0.0001, 0.0005, 0.001, 0.005, 0.01)
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One (dataset, architecture, method) active-learning schedule.
+    """One (dataset, architecture) schedule per method, all under the same seeds.
 
     ``rounds`` counts acquisitions; curves get rounds+1 points because the
     pre-acquisition model is also evaluated. ``initial_size`` defaults to b.
@@ -43,7 +43,7 @@ class ExperimentConfig:
 
     arch: ArchSpec
     train: TrainConfig
-    method: str
+    methods: tuple
     b: int
     rounds: int
     seeds: tuple
@@ -53,21 +53,23 @@ class ExperimentConfig:
     sweep_lr: bool = False
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown acquisition method {self.method!r}")
+        object.__setattr__(self, "methods", tuple(self.methods))
+        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        if not set(self.methods) <= set(METHODS):
+            raise ValueError(f"unknown acquisition method in {self.methods!r}")
+        for name, values in (("methods", self.methods), ("seeds", self.seeds)):
+            if not values:
+                raise ValueError(f"{name} must be nonempty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} must not repeat")
         if self.b < 1:
             raise ValueError("b must be >= 1")
         if self.rounds < 0:
             raise ValueError("rounds must be >= 0")
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
         if self.initial_size is not None and self.initial_size < 1:
             raise ValueError("initial_size must be >= 1")
         if self.scope not in SCOPES:
             raise ValueError(f"unknown scope {self.scope!r}")
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError("seeds must not repeat")
 
     @property
     def init_size(self) -> int:
@@ -138,17 +140,13 @@ def sweep_learning_rate(arch: ArchSpec, dataset: Dataset, train_indices, val_ind
     return best_rate
 
 
-def run_experiments(cfgs, dataset: Dataset) -> list:
-    """One ExperimentResult per config, in order; the configs may differ only
-    in ``method``. Round-major: at round t every live (method, seed) has
-    init_size + t*b labeled points and an init and shuffle keyed by (seed,
-    t), so all train as one ``train_stack``; round 0 trains one row per seed
-    for all methods. A diverging (method, seed) goes to seed_errors and drops
-    out; if every seed of a method diverges the error is raised."""
-    cfg = cfgs[0]
-    if (len({c.method for c in cfgs}) < len(cfgs)
-            or any(replace(c, method=cfg.method) != cfg for c in cfgs)):
-        raise ValueError("configs must name distinct methods and differ only in method")
+def run_experiments(cfg: ExperimentConfig, dataset: Dataset) -> list:
+    """One ExperimentResult per method of ``cfg``, in order. Round-major: at
+    round t every live (method, seed) has init_size + t*b labeled points and
+    an init and shuffle keyed by (seed, t), so all train as one
+    ``train_stack``; round 0 trains one row per seed for all methods. A
+    diverging (method, seed) goes to seed_errors and drops out; if every
+    seed of a method diverges the error is raised."""
     train_idx, val_idx, test_idx = split(dataset, cfg.split_spec)
     if train_idx.size < cfg.init_size + min(1, cfg.rounds):
         raise ValueError("training split smaller than the initial labeled set")
@@ -160,7 +158,7 @@ def run_experiments(cfgs, dataset: Dataset) -> list:
         learning_rate = sweep_learning_rate(cfg.arch, dataset, probe, val_idx, cfg.train,
                                             seed=derive_seed(cfg.seeds[0], "sweep"))
 
-    keys = [(c.method, s) for c in cfgs for s in cfg.seeds]
+    keys = [(m, s) for m in cfg.methods for s in cfg.seeds]
     pools = {key: init_pool(train_idx, cfg.init_size, key[1]) for key in keys}
     records = {key: [] for key in keys}
     errors = {}
@@ -169,7 +167,7 @@ def run_experiments(cfgs, dataset: Dataset) -> list:
         live = list(pools)
         # one stack row per distinct labeled set: at round 0 all methods of a
         # seed hold the seed's initial set, so they share the seed's row
-        heads = [(cfg.method, s) for s in cfg.seeds] if t == 0 else live
+        heads = [(cfg.methods[0], s) for s in cfg.seeds] if t == 0 else live
         row = {key: cfg.seeds.index(key[1]) if t == 0 else m for m, key in enumerate(live)}
         inits = [init_model(cfg.arch, seed=derive_seed(s, "init", t)) for _, s in heads]
         params, diverged = train_stack(
@@ -198,19 +196,19 @@ def run_experiments(cfgs, dataset: Dataset) -> list:
             break
 
     results = []
-    for c in cfgs:
-        kept = tuple(s for s in cfg.seeds if (c.method, s) not in errors)
-        failed = [{"seed": s, "error": errors[(c.method, s)]}
-                  for s in cfg.seeds if (c.method, s) in errors]
+    for method in cfg.methods:
+        kept = tuple(s for s in cfg.seeds if (method, s) not in errors)
+        failed = [{"seed": s, "error": errors[(method, s)]}
+                  for s in cfg.seeds if (method, s) in errors]
         if not kept:
             raise ArithmeticError(f"all seeds failed: {failed}")
         results.append(ExperimentResult(
-            method=c.method, seeds=kept, per_seed=[records[(c.method, s)] for s in kept],
+            method=method, seeds=kept, per_seed=[records[(method, s)] for s in kept],
             learning_rate=float(learning_rate), truncated=truncated, seed_errors=failed))
     return results
 
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
-    """Run every seed of one method's schedule: ``run_experiments`` with a
-    single config."""
-    return run_experiments([cfg], dataset)[0]
+    """Run every seed of a one-method config's schedule."""
+    [result] = run_experiments(cfg, dataset)
+    return result

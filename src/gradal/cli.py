@@ -335,15 +335,15 @@ def cmd_run(config: dict, out_flag=None) -> int:
     if standardize:
         dataset = standardized(dataset, train_idx)
 
-    cfgs = [ExperimentConfig(
-        arch=arch, train=train_cfg, method=method, b=b, rounds=rounds,
+    cfg = ExperimentConfig(
+        arch=arch, train=train_cfg, methods=methods, b=b, rounds=rounds,
         seeds=seeds, initial_size=initial_size, scope=scope,
-        split_spec=split_spec, sweep_lr=sweep_lr) for method in methods]
-    if cfgs[0].init_size + min(1, rounds) > train_idx.size:
+        split_spec=split_spec, sweep_lr=sweep_lr)
+    if cfg.init_size + min(1, rounds) > train_idx.size:
         name = "batch_size" if initial_size is None else "initial_size"
-        raise ConfigError(f"{name}: {cfgs[0].init_size} initial points leave no pool "
+        raise ConfigError(f"{name}: {cfg.init_size} initial points leave no pool "
                           f"in a training split of {train_idx.size}")
-    per_method = dict(zip(methods, run_experiments(cfgs, dataset)))
+    per_method = dict(zip(methods, run_experiments(cfg, dataset)))
 
     # each entry holds the fields of ExperimentResult; its key is the method
     results = {
@@ -373,7 +373,7 @@ def parse_slice(text: str) -> ComparisonSlice:
         return ComparisonSlice(text)
     for prefix, kind in (("by-dataset:", "by_dataset"), ("by-arch:", "by_arch"),
                          ("dataset:", "by_dataset"), ("arch:", "by_arch")):
-        if text.startswith(prefix):
+        if text.startswith(prefix) and text[len(prefix):]:
             return ComparisonSlice(kind, text[len(prefix):])
     raise ConfigError(
         f"slice: unknown slice {text!r} (use all|early|late|by-dataset:<name>|by-arch:<name>)")

@@ -131,7 +131,7 @@ def load_csv(path, label_column: str) -> Dataset:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -241,8 +241,10 @@ def split(dataset: Dataset, spec: SplitSpec):
         test.append(perm[:n_test])
         val.append(perm[n_test:n_test + n_val])
         train.append(perm[n_test + n_val:])
-    cat = lambda parts: np.sort(np.concatenate(parts).astype(np.int64))
-    return cat(train), cat(val), cat(test)
+    train, val, test = (np.sort(np.concatenate(p).astype(np.int64)) for p in (train, val, test))
+    if not train.size or not test.size:
+        raise ValueError(f"needs a training and a test point, got {train.size} and {test.size}")
+    return train, val, test
 
 
 def init_pool(train: np.ndarray, initial_size: int, seed: int) -> PoolState:

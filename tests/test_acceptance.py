@@ -242,11 +242,10 @@ def test_a5_desk_scale_benchmark():
     assert 0.92 <= supervised_acc <= 0.98
 
     final_means = {}
-    cfgs = [ExperimentConfig(arch=arch, train=train_cfg, method=method,
-                             b=20, rounds=10, seeds=tuple(range(10)),
-                             initial_size=20, split_spec=split_spec)
-            for method in METHODS]
-    for method, result in zip(METHODS, run_experiments(cfgs, ds)):
+    cfg = ExperimentConfig(arch=arch, train=train_cfg, methods=METHODS,
+                           b=20, rounds=10, seeds=tuple(range(10)),
+                           initial_size=20, split_spec=split_spec)
+    for method, result in zip(METHODS, run_experiments(cfg, ds)):
         acc = np.array([[rec.test_accuracy for rec in seq]
                         for seq in result.per_seed])
         mean = acc.mean(axis=0)

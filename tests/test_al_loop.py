@@ -16,11 +16,11 @@ from gradal.model import ArchSpec, ModelState, TrainConfig, init_model, predict_
 from gradal.numerics import Rng
 
 
-def small_config(method="random", rounds=3, b=5, seeds=(0,), **overrides):
+def small_config(methods=("random",), rounds=3, b=5, seeds=(0,), **overrides):
     base = dict(
         arch=ArchSpec(input_dim=3, n_classes=3, hidden_widths=(8,)),
         train=TrainConfig(learning_rate=0.01, epochs=3, seed=0),
-        method=method,
+        methods=methods,
         b=b,
         rounds=rounds,
         seeds=seeds,
@@ -69,7 +69,7 @@ def test_evaluate_accuracy_rejects_empty_test():
 # ------------------------------------------------------------ schedules
 
 def test_labeled_size_schedule():
-    cfg = small_config(method="random", rounds=3, b=100, initial_size=100,
+    cfg = small_config(methods=("random",), rounds=3, b=100, initial_size=100,
                        seeds=(0,))
     ds = make_blobs(700, 3, 3, spread=0.8, seed=1)
     result = run_experiment(cfg, ds)
@@ -96,7 +96,7 @@ def test_curves_have_rounds_plus_one_points():
 
 def test_pool_exhaustion_truncates_and_flags():
     # 90-sample train split, init 6, b=40: round 2 exhausts the pool
-    cfg = small_config(method="random", rounds=5, b=40)
+    cfg = small_config(methods=("random",), rounds=5, b=40)
     result = run_experiment(cfg, small_dataset())
     assert result.truncated
     sizes = [rec.labeled_size for rec in result.per_seed[0]]
@@ -106,7 +106,7 @@ def test_pool_exhaustion_truncates_and_flags():
 
 def test_pool_conservation():
     ds = small_dataset()
-    cfg = small_config(method="grad", rounds=3, seeds=(0,))
+    cfg = small_config(methods=("grad",), rounds=3, seeds=(0,))
     train_idx, _, _ = split(ds, cfg.split_spec)
     result = run_experiment(cfg, ds)
     seen = set(init_pool(train_idx, cfg.init_size, 0).labeled.tolist())
@@ -123,13 +123,10 @@ def test_pool_conservation():
 
 def test_initial_set_shared_across_methods():
     ds = small_dataset()
-    batches = {}
-    for method in ("random", "grad", "entropy"):
-        cfg = small_config(method=method, rounds=1)
-        result = run_experiment(cfg, ds)
-        batches[method] = result.per_seed[0][0].labeled_size
-        # same seed => same round-0 labeled size and contents; contents are
-        # checked via init_pool determinism below
+    results = run_experiments(small_config(methods=("random", "grad", "entropy"), rounds=1), ds)
+    # same seed => same round-0 labeled size and contents; contents are
+    # checked via init_pool determinism below
+    batches = {r.method: r.per_seed[0][0].labeled_size for r in results}
     assert len(set(batches.values())) == 1
     train_idx, _, _ = split(ds, small_config().split_spec)
     a = init_pool(train_idx, 6, seed=0)
@@ -139,7 +136,7 @@ def test_initial_set_shared_across_methods():
 
 def test_full_reproducibility_excluding_walltime():
     ds = small_dataset()
-    cfg = small_config(method="grad", rounds=2, seeds=(0, 1))
+    cfg = small_config(methods=("grad",), rounds=2, seeds=(0, 1))
     r1 = run_experiment(cfg, ds)
     r2 = run_experiment(cfg, ds)
     for seq1, seq2 in zip(r1.per_seed, r2.per_seed):
@@ -157,13 +154,12 @@ def test_lockstep_matches_single_runs():
     # 3 methods x 3 seeds in one stack against nine one-method, one-seed runs
     ds = small_dataset()
     methods, seeds = ("entropy", "grad", "kcenter"), (0, 1, 2)
-    results = run_experiments([small_config(method=m, rounds=2, seeds=seeds)
-                               for m in methods], ds)
+    results = run_experiments(small_config(methods=methods, rounds=2, seeds=seeds), ds)
     assert [r.method for r in results] == list(methods)
     for result in results:
         assert result.seeds == seeds
         for seed, rows in zip(seeds, result.per_seed):
-            alone = run_experiment(small_config(method=result.method, rounds=2,
+            alone = run_experiment(small_config(methods=(result.method,), rounds=2,
                                                 seeds=(seed,)), ds)
             assert len(rows) == len(alone.per_seed[0]) == 3
             for a, b in zip(rows, alone.per_seed[0]):
@@ -186,23 +182,14 @@ def test_round_zero_trains_one_stack_row_per_seed(monkeypatch):
         return real(arch, params, *args, **kwargs)
 
     monkeypatch.setattr(al_loop, "train_stack", spy)
-    run_experiments([small_config(method=m, rounds=2, seeds=(0, 1))
-                     for m in ("random", "grad", "entropy")], ds)
+    run_experiments(small_config(methods=("random", "grad", "entropy"), rounds=2,
+                                 seeds=(0, 1)), ds)
     assert stack_rows == [2, 6, 6]
-
-
-def test_run_experiments_rejects_configs_differing_beyond_method():
-    with pytest.raises(ValueError, match="differ only in method"):
-        run_experiments([small_config(method="grad"),
-                         small_config(method="random", b=7)], small_dataset())
-    with pytest.raises(ValueError, match="distinct methods"):
-        run_experiments([small_config(method="grad"), small_config(method="grad")],
-                        small_dataset())
 
 
 def test_distinct_seeds_differ():
     ds = small_dataset()
-    cfg = small_config(method="random", rounds=1, seeds=(0, 1))
+    cfg = small_config(methods=("random",), rounds=1, seeds=(0, 1))
     result = run_experiment(cfg, ds)
     b0 = result.per_seed[0][0].batch.indices
     b1 = result.per_seed[1][0].batch.indices
@@ -218,7 +205,7 @@ def test_selection_ignores_unlabeled_true_labels():
     # hands over the poisoned labels)
     ds = small_dataset()
     unstrat = SplitSpec(test_fraction=0.25, seed=0, stratified=False)
-    cfg = small_config(method="grad", rounds=2, split_spec=unstrat)
+    cfg = small_config(methods=("grad",), rounds=2, split_spec=unstrat)
     train_idx, _, _ = split(ds, cfg.split_spec)
     initial = set(init_pool(train_idx, cfg.init_size, 0).labeled.tolist())
 
@@ -246,7 +233,7 @@ def test_acquisition_time_excludes_training(monkeypatch):
         return real_train(*args, **kwargs)
 
     monkeypatch.setattr(al_loop, "train_stack", slow_train)
-    cfg = small_config(method="entropy", rounds=2)
+    cfg = small_config(methods=("entropy",), rounds=2)
     result = run_experiment(cfg, ds)
     for rec in result.per_seed[0]:
         assert rec.acquisition_seconds < 0.05
@@ -256,7 +243,11 @@ def test_acquisition_time_excludes_training(monkeypatch):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        small_config(method="margin")
+        small_config(methods=("margin",))
+    with pytest.raises(ValueError, match="methods must be nonempty"):
+        small_config(methods=())
+    with pytest.raises(ValueError, match="methods must not repeat"):
+        small_config(methods=("grad", "random", "grad"))
     with pytest.raises(ValueError):
         small_config(b=0)
     with pytest.raises(ValueError):
@@ -284,7 +275,7 @@ def test_train_split_must_cover_initial_set():
 
 def test_all_seeds_failing_raises():
     ds = small_dataset()
-    cfg = small_config(method="random", rounds=1,
+    cfg = small_config(methods=("random",), rounds=1,
                        train=TrainConfig(learning_rate=1e308, epochs=2, seed=0))
     with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match="all seeds failed"):
         run_experiment(cfg, ds)
@@ -292,7 +283,7 @@ def test_all_seeds_failing_raises():
 
 def test_divergence_error_names_method_round_and_learning_rate():
     ds = small_dataset()
-    cfg = small_config(method="entropy", rounds=1,
+    cfg = small_config(methods=("entropy",), rounds=1,
                        train=TrainConfig(learning_rate=1e300, epochs=2, seed=0))
     message = r"entropy round 0: training diverged at epoch \d+ at learning rate 1e\+300"
     with np.errstate(all="ignore"), pytest.raises(ArithmeticError, match=message):
@@ -302,7 +293,7 @@ def test_divergence_error_names_method_round_and_learning_rate():
 def test_sweep_lr_replaces_configured_rate():
     ds = small_dataset(n=160)
     cfg = small_config(
-        method="random", rounds=1, sweep_lr=True,
+        methods=("random",), rounds=1, sweep_lr=True,
         split_spec=SplitSpec(test_fraction=0.2, validation_fraction=0.2, seed=0))
     result = run_experiment(cfg, ds)
     assert result.learning_rate in (0.0001, 0.0005, 0.001, 0.005, 0.01)
@@ -319,15 +310,14 @@ def test_sweep_lr_runs_once_per_run(monkeypatch):
 
     monkeypatch.setattr(al_loop, "sweep_learning_rate", spy)
     split_spec = SplitSpec(test_fraction=0.2, validation_fraction=0.2, seed=0)
-    results = run_experiments([small_config(method=m, rounds=1, sweep_lr=True,
-                                            split_spec=split_spec)
-                               for m in ("random", "grad", "entropy")], ds)
+    results = run_experiments(small_config(methods=("random", "grad", "entropy"), rounds=1,
+                                           sweep_lr=True, split_spec=split_spec), ds)
     assert len(calls) == 1
     assert len({r.learning_rate for r in results}) == 1
 
 
 def test_sweep_lr_needs_validation_split():
-    cfg = small_config(method="random", rounds=1, sweep_lr=True)
+    cfg = small_config(methods=("random",), rounds=1, sweep_lr=True)
     with pytest.raises(ValueError, match="validation"):
         run_experiment(cfg, small_dataset())
 

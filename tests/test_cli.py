@@ -25,7 +25,7 @@ from gradal.cli import (
     write_json,
 )
 from gradal.contraction import ContractionConfig
-from gradal.data import SplitSpec, make_blobs
+from gradal.data import SplitSpec, make_blobs, write_csv
 from gradal.model import ArchSpec, TrainConfig, init_model, train
 from gradal.numerics import Rng, derive_seed
 
@@ -394,6 +394,26 @@ def test_unknown_dataset_key_exits_2_before_any_work(tmp_path, capsys, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb, test_fraction", [("run", 0.1), ("shift", 0.9)])
+def test_split_with_no_training_or_test_point_exits_2(tmp_path, capsys, monkeypatch, verb,
+                                                      test_fraction):
+    # 3 points per class: 0.1 rounds to no test point, 0.9 to no training point
+    config = {"dataset": {"kind": "blobs", "n_samples": 9, "n_classes": 3, "n_features": 2,
+                          "spread": 1.0, "seed": 0},
+              "split": {"test_fraction": test_fraction}, "model": {"hidden_widths": [4]},
+              "train": {"epochs": 1},
+              **{"run": {"methods": ["random", "entropy"], "batch_size": 1, "rounds": 1,
+                         "initial_size": 2},
+                 "shift": {"shift": 1.0}}[verb]}
+    for module in ("gradal.cli", "gradal.al_loop"):
+        monkeypatch.setattr(f"{module}.train_stack", lambda *a, **k: pytest.fail("trained"))
+    path = write_config(tmp_path, config)
+    code = main([verb, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: split: ")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_blob_generator_error_exits_2_naming_dataset(tmp_path, capsys):
     config = run_config()
     config["dataset"]["n_samples"] = 1
@@ -479,17 +499,16 @@ def field_paths(config, prefix=()):
 CHECKED_AGAINST = {"dataset.n_samples": {"split", "initial_size", "contraction"}}
 
 
-@pytest.mark.parametrize("verb", ["run", "geometry", "shift", "contraction", "timing"])
-def test_every_config_field_exits_0_or_2(tmp_path, capsys, verb):
-    # each field in turn takes each value: the verb succeeds, names the field
-    # (its section, or a field inside it) in a config error, or reports
-    # divergence; a failure writes nothing, and no numpy warning escapes
-    # (the suite turns warnings into errors)
+def walk_failures(tmp_path, capsys, verb, base, paths):
+    """Each field of ``paths`` in turn takes each walk value in a copy of
+    ``base``. A case passes when the verb succeeds, names the field (its
+    section, or a field inside it) in a config error, or reports divergence,
+    and a failure writes nothing. Returns the cases that do not pass."""
     bad, case = [], 0
-    for path in field_paths(walk_config(verb)):
+    for path in paths:
         name = ".".join(path)
         for value in WALK_VALUES:
-            config = walk_config(verb)
+            config = json.loads(json.dumps(base))
             node = config
             for key in path[:-1]:
                 node = node[key]
@@ -505,7 +524,31 @@ def test_every_config_field_exits_0_or_2(tmp_path, capsys, verb):
                       label in (name, path[0]) or label.startswith(f"{name}.")
                       or label in CHECKED_AGAINST.get(name, ()))}
             if not ok.get(code) or code and out.exists():
-                bad.append(f"{name}={json.dumps(value)}: exit {code}: {err.strip()}")
+                bad.append(f"{verb} {name}={json.dumps(value)}: exit {code}: {err.strip()}")
+    return bad
+
+
+@pytest.mark.parametrize("verb", ["run", "geometry", "shift", "contraction", "timing"])
+def test_every_config_field_exits_0_or_2(tmp_path, capsys, verb):
+    # no numpy warning escapes either: the suite turns warnings into errors
+    config = walk_config(verb)
+    bad = walk_failures(tmp_path, capsys, verb, config, field_paths(config))
+    assert not bad, "\n".join(bad)
+
+
+def test_every_csv_dataset_field_exits_0_or_2(tmp_path, capsys):
+    # the blob walk cannot reach a csv dataset's fields: they need a file
+    data = tmp_path / "data.csv"
+    write_csv(make_blobs(40, 2, 2, spread=1.0, seed=0), data)
+    bad = []
+    for verb in ["run", "geometry", "shift", "contraction", "timing"]:
+        config = walk_config(verb)
+        config["dataset"] = {"kind": "csv", "path": str(data), "label_column": "label"}
+        (tmp_path / verb).mkdir()
+        valid = write_config(tmp_path / verb, config)
+        assert main([verb, "--config", str(valid), "--out", str(tmp_path / verb / "valid")]) == 0
+        bad += walk_failures(tmp_path / verb, capsys, verb, config,
+                             [("dataset", "path"), ("dataset", "label_column")])
     assert not bad, "\n".join(bad)
 
 
@@ -605,6 +648,17 @@ def test_compare_by_dataset_slice(tmp_path):
     cmd_compare(results, "by-dataset:blobs-y", 0.05, out_flag=out)
     ppm = read_json(next(out.iterdir()) / "ppm.json")
     assert ppm["experiments_counted"] == 1
+
+
+@pytest.mark.parametrize("text", ["by-dataset:", "by-arch:", "dataset:", "arch:"])
+def test_compare_slice_without_a_name_exits_2(tmp_path, capsys, text):
+    results = tmp_path / "results"
+    planted_results(results / "e1", "666666666666")
+    out = tmp_path / "out"
+    code = main(["compare", "--results", str(results), "--slice", text, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: slice: ")
+    assert not out.exists()
 
 
 def test_compare_empty_results_dir_exits_2(tmp_path, capsys):
@@ -994,14 +1048,14 @@ def test_section_reads_every_field_of_its_dataclass(monkeypatch, section):
     else:
         config = run_config()
         config[section] = raw
-        cfg = built(monkeypatch, "run", config)[0][0]
+        cfg = built(monkeypatch, "run", config)[0]
         assert {"split": cfg.split_spec, "train": cfg.train, "model": cfg.arch}[section] == expected
 
 
 def test_absent_sections_take_the_dataclass_defaults(monkeypatch):
     config = run_config()
     del config["split"], config["train"], config["model"]
-    cfg = built(monkeypatch, "run", config)[0][0]
+    cfg = built(monkeypatch, "run", config)[0]
     assert cfg.split_spec == SplitSpec()
     assert cfg.train == TrainConfig()
     assert cfg.arch == ArchSpec(input_dim=3, n_classes=3)
@@ -1020,10 +1074,10 @@ def test_absent_sections_take_the_dataclass_defaults(monkeypatch):
 def test_train_seed_is_not_read(monkeypatch):
     config = run_config()
     config["train"]["seed"] = 5
-    assert built(monkeypatch, "run", config)[0][0].train.seed == 0
+    assert built(monkeypatch, "run", config)[0].train.seed == 0
 
 
 def test_model_input_dim_is_not_read(monkeypatch):
     config = run_config()
     config["model"]["input_dim"] = 99
-    assert built(monkeypatch, "run", config)[0][0].arch.input_dim == 3
+    assert built(monkeypatch, "run", config)[0].arch.input_dim == 3

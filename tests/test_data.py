@@ -255,6 +255,18 @@ def test_load_csv_round_trip(tmp_path):
     assert back.n_classes == ds.n_classes
 
 
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    # the label column comes first, so a kept mark would prefix its name
+    text = "label,a,b\ncat,1,2\ndog,3,4\ncat,5,6\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    a, b = load_csv(plain, label_column="label"), load_csv(marked, label_column="label")
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.labels, b.labels)
+
+
 def test_load_csv_missing_file():
     with pytest.raises(FileNotFoundError):
         load_csv("/nonexistent/nope.csv", label_column="label")
