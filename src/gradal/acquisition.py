@@ -261,6 +261,23 @@ def _min_dist_to(points: np.ndarray, centers: np.ndarray, rows=None) -> np.ndarr
     return np.sqrt(np.maximum(_tiled(points, nearest, (), rows=rows)[0], 0.0))
 
 
+def _bound_sq(feats: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Upper bounds on each row's squared distance to its nearest center: min_c (c_sq - 2 c . x)
+    + x_sq over ``_BOUND_CENTERS`` strided centers C, per CHUNK_ROWS**2 // |C| rows (one
+    ``_min_dist_to`` block), plus a margin that is non-finite if any center is."""
+    p_sq, c_sq = np.einsum("ij,ij->i", feats, feats), np.einsum("ij,ij->i", centers, centers)
+    step = -(-len(centers) // _BOUND_CENTERS)
+    neg2c, c_col = -2.0 * centers[::step], c_sq[::step, None]
+    rows = CHUNK_ROWS * CHUNK_ROWS // len(neg2c)
+    ub, block = np.empty(len(feats)), np.empty((len(neg2c), rows))
+    for s in range(0, len(feats), rows):
+        d2 = np.matmul(neg2c, feats[s:s + rows].T, out=block[:, :min(rows, len(feats) - s)])
+        d2 += c_col
+        np.add(d2.min(axis=0), p_sq[s:s + rows], out=ub[s:s + rows])
+    ub += _SCREEN_MARGIN * (ub + p_sq + c_sq.max()) + np.finfo(float).tiny
+    return ub
+
+
 def _farthest_first(feats: np.ndarray, min_dist: np.ndarray, b: int):
     """``b`` farthest-first picks over the rows of ``feats`` from their
     nearest-center distances ``min_dist``, updated in place: (rows, scores)."""
@@ -296,10 +313,7 @@ def select_kcenter(model: ModelState, dataset: Dataset, pool: PoolState,
     centers = penultimate(model, dataset.features, rows=np.sort(pool.labeled))
     n, m, b = len(feats), max(4 * CHUNK_ROWS, 4 * int(b)), min(int(b), len(feats))
     min_dist, done = np.empty(n), np.zeros(n, dtype=bool)  # exact distances of the rows in done
-    if m < n:  # bounds from strided centers; the margin covers another block's rounding
-        ub = _min_dist_to(feats, centers[::-(-len(centers) // _BOUND_CENTERS)]) ** 2
-        c_max = np.einsum("ij,ij->i", centers, centers).max()  # non-finite if any center is
-        ub += _SCREEN_MARGIN * (ub + np.einsum("ij,ij->i", feats, feats) + c_max) + np.finfo(float).tiny
+    ub = _bound_sq(feats, centers) if m < n else None
     while m < n and np.isfinite(ub).all():
         part = np.argpartition(ub, n - m - 1)  # ub[part[n - m - 1]] is the largest bound left out
         keep, cut = np.sort(part[n - m:]), ub[part[n - m - 1]]

@@ -53,6 +53,9 @@ class ExperimentConfig:
     sweep_lr: bool = False
 
     def __post_init__(self):
+        for name in ("methods", "seeds"):  # a bare string would be read character by character
+            if isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a sequence, not the string {getattr(self, name)!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if not set(self.methods) <= set(METHODS):
@@ -210,5 +213,7 @@ def run_experiments(cfg: ExperimentConfig, dataset: Dataset) -> list:
 
 def run_experiment(cfg: ExperimentConfig, dataset: Dataset) -> ExperimentResult:
     """Run every seed of a one-method config's schedule."""
+    if len(cfg.methods) != 1:
+        raise ValueError(f"run_experiment takes one method, not methods={cfg.methods!r}")
     [result] = run_experiments(cfg, dataset)
     return result

@@ -414,11 +414,12 @@ def last_layer_factors(model: ModelState, features: np.ndarray, rows=None):
     product of err_i = softmax_i - onehot(y_i) with h1_i = [penultimate_i, 1],
     y_i the row's pseudo-label from the same softmax (argmax, lowest id on ties)."""
     layers, arch = _layers(model.params, model.arch), model.arch
-    ws = _Workspace(layers, (CHUNK_ROWS,))
+    ws, h1 = _Workspace(layers, (CHUNK_ROWS,)), np.ones((CHUNK_ROWS, arch.penultimate_width + 1))
 
-    def factors(x):
+    def factors(x):  # every tile has CHUNK_ROWS rows, and h1's last column stays 1
         acts, err = _output_error(layers, x, None, ws)
-        return err, np.hstack((acts[-1], np.ones((len(x), 1))))
+        h1[:, :-1] = acts[-1]
+        return err, h1
     return tuple(_tiled(features, factors, (arch.n_classes,), (arch.penultimate_width + 1,), rows=rows))
 
 

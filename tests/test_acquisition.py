@@ -9,6 +9,7 @@ from gradal import acquisition
 from gradal.acquisition import (
     METHODS,
     AcquisitionBatch,
+    _bound_sq,
     _factored_sq_dists,
     _farthest_first,
     _min_dist_to,
@@ -774,14 +775,15 @@ def _large_screen_pool(kind, n=3_000):
     return x, n_labeled
 
 
-def _counted_min_dist_to(monkeypatch):
-    """The point counts of every ``_min_dist_to`` call from here on."""
-    calls = []
+def _counted(monkeypatch, name):
+    """The point counts of every call to acquisition's ``name`` (``_bound_sq``
+    or ``_min_dist_to``) from here on."""
+    calls, fn = [], getattr(acquisition, name)
 
-    def counted(points, centers, rows=None):
-        calls.append(len(points) if rows is None else len(rows))
-        return _min_dist_to(points, centers, rows)
-    monkeypatch.setattr(acquisition, "_min_dist_to", counted)
+    def counted(points, centers, *rows):
+        calls.append(len(rows[0]) if rows and rows[0] is not None else len(points))
+        return fn(points, centers, *rows)
+    monkeypatch.setattr(acquisition, name, counted)
     return calls
 
 
@@ -809,11 +811,13 @@ def test_select_kcenter_retries_until_the_picks_are_certified(monkeypatch):
     # 1,024 rows of largest bound hold no row 0.5 off the line; 4,096 hold them all. The first
     # attempt's 20th largest distance cannot beat the bounds left out, so it makes no picks, and
     # the second computes distances only for the 3,072 rows the first did not
-    calls, picks, farthest_first = _counted_min_dist_to(monkeypatch), [], _farthest_first
+    bounds, calls = _counted(monkeypatch, "_bound_sq"), _counted(monkeypatch, "_min_dist_to")
+    picks, farthest_first = [], _farthest_first
     monkeypatch.setattr(acquisition, "_farthest_first",
                         lambda feats, *args: picks.append(len(feats)) or farthest_first(feats, *args))
     _assert_kcenter_is_reference(*_large_screen_pool("one-sided", n=5_000), 20)
-    assert calls == [4_900, 1_024, 3_072]
+    assert bounds == [4_900]
+    assert calls == [1_024, 3_072]
     assert picks == [4_096]
 
 
@@ -825,9 +829,10 @@ def test_select_kcenter_non_finite_features_take_every_row(monkeypatch):
     feats = penultimate(model, ds.features[pool.unlabeled])
     centers = penultimate(model, ds.features[pool.labeled])
     rows, scores = kcenter_reference(feats, min_dist_reference(feats, centers), 20)
-    calls = _counted_min_dist_to(monkeypatch)
+    bounds, calls = _counted(monkeypatch, "_bound_sq"), _counted(monkeypatch, "_min_dist_to")
     batch = select_kcenter(model, ds, pool, b=20)
-    assert calls == [3_000, 3_000]  # the bounds, then every row exactly
+    assert bounds == [3_000]
+    assert calls == [3_000]  # every row exactly
     assert np.array_equal(batch.indices, pool.unlabeled[rows])
     assert np.array(batch.scores).tobytes() == np.array(scores).tobytes()
 
@@ -836,12 +841,33 @@ def test_select_kcenter_non_finite_features_take_every_row(monkeypatch):
 def test_select_kcenter_bounds_only_pools_above_four_tiles(monkeypatch, n_pool):
     ds = make_blobs(n_pool + 300, 3, 4, spread=1.0, seed=5)
     model = init_model(ArchSpec(input_dim=4, n_classes=3, hidden_widths=(8,)), 0)
-    calls = _counted_min_dist_to(monkeypatch)
+    bounds, calls = _counted(monkeypatch, "_bound_sq"), _counted(monkeypatch, "_min_dist_to")
     select_kcenter(model, ds, PoolState(np.arange(300), np.arange(300, n_pool + 300)), b=20)
     if n_pool == 1_024:
-        assert calls == [1_024]
+        assert (bounds, calls) == ([], [1_024])
     else:
-        assert calls[:2] == [1_025, 1_024]
+        assert bounds == [1_025]
+        assert calls[0] == 1_024
+
+
+@pytest.mark.parametrize("kind", ["duplicates", "identical", "tiny-far", "offset", "underflow",
+                                  "random", "one-sided"])
+def test_bound_sq_is_above_every_exact_distance(kind):
+    # the certificate holds only if no row's exact squared distance, to the strided centers the
+    # bound reads or to every center, lies above its bound
+    x, n_labeled = _large_screen_pool(kind)
+    feats, centers = x[n_labeled:], x[:n_labeled]
+    ub = _bound_sq(feats, centers)
+    assert (ub >= min_dist_reference(feats, centers[::2]) ** 2).all()
+    assert (ub >= min_dist_reference(feats, centers) ** 2).all()
+
+
+@pytest.mark.parametrize("center", [0, 1])  # one the bound reads, one only the margin reads
+def test_bound_sq_is_not_finite_for_a_nan_center(center):
+    x, n_labeled = _large_screen_pool("random")
+    centers = x[:n_labeled].copy()
+    centers[center, 0] = np.nan
+    assert not np.isfinite(_bound_sq(x[n_labeled:], centers)).any()
 
 
 def test_select_kcenter_does_not_depend_on_pool_order():

@@ -262,6 +262,21 @@ def test_config_validation():
         small_config(scope="half")
 
 
+@pytest.mark.parametrize("field, value", [("methods", "grad"), ("seeds", "01")])
+def test_config_rejects_a_bare_string(field, value):
+    # "grad" would be read as ('g', 'r', 'a', 'd'), and "01" as the seeds (0, 1)
+    with pytest.raises(ValueError, match=f"{field} must be a sequence"):
+        small_config(**{field: value})
+
+
+def test_run_experiment_rejects_several_methods_before_training(monkeypatch):
+    trained = []
+    monkeypatch.setattr(al_loop, "train_stack", lambda *args: trained.append(args))
+    with pytest.raises(ValueError, match=r"methods=\('random', 'grad'\)"):
+        run_experiment(small_config(methods=("random", "grad")), small_dataset())
+    assert trained == []
+
+
 def test_initial_size_defaults_to_b():
     cfg = small_config(b=7, initial_size=None)
     assert cfg.init_size == 7
