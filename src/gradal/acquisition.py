@@ -48,7 +48,8 @@ class AcquisitionBatch:
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
-        if len(np.unique(self.indices)) != len(self.indices):
+        ordered = np.sort(self.indices)  # not np.unique, whose first call imports numpy.ma
+        if (ordered[1:] == ordered[:-1]).any():
             raise ValueError("batch contains duplicate indices")
 
 

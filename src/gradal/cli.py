@@ -629,14 +629,15 @@ def cmd_timing(config: dict, out_flag=None) -> int:
             "round_seconds": seconds,
             "mean_seconds": arr.mean(),
             "sd_seconds": arr.std(ddof=1) if arr.size > 1 else 0.0,
+            "median_seconds": np.median(arr),  # one stalled round moves the mean, not this
         }
 
     ordering = None
     if "entropy" in per_method and "grad" in per_method:
         ordering = per_method["entropy"]["mean_seconds"] < per_method["grad"]["mean_seconds"]
 
-    report = [f"{m}: {per_method[m]['mean_seconds']:.3f} +/- {per_method[m]['sd_seconds']:.3f} s"
-              for m in methods]
+    report = [f"{m}: {per_method[m]['mean_seconds']:.3f} +/- {per_method[m]['sd_seconds']:.3f} s, "
+              f"median {per_method[m]['median_seconds']:.3f} s" for m in methods]
     if ordering is not None:
         report.append(f"entropy faster than grad: {ordering}")
     return _emit("timing", config, out_flag, started, {

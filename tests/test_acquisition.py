@@ -1017,6 +1017,12 @@ def test_batch_rejects_duplicates():
         AcquisitionBatch(indices=np.array([4, 4, 5]), method="grad")
 
 
+def test_batch_rejects_duplicates_apart_in_any_order():
+    with pytest.raises(ValueError, match="duplicate indices"):
+        AcquisitionBatch(indices=np.array([9, 3, 7, 0, 3]), method="kcenter")
+    assert AcquisitionBatch(indices=np.array([9, 3, 7, 0]), method="kcenter").indices.tolist() == [9, 3, 7, 0]
+
+
 def test_timed_select_returns_batch_and_time():
     ds, model, pool = fitted_fixture()
     batch, seconds = timed_select("entropy", model, ds, pool, 4, Rng(0))

@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from gradal.acquisition import timed_select
 from gradal.cli import (
     ConfigError,
     canonical_json,
@@ -499,40 +500,76 @@ def field_paths(config, prefix=()):
 CHECKED_AGAINST = {"dataset.n_samples": {"split", "initial_size", "contraction"}}
 
 
-def walk_failures(tmp_path, capsys, verb, base, paths):
-    """Each field of ``paths`` in turn takes each walk value in a copy of
-    ``base``. A case passes when the verb succeeds, names the field (its
-    section, or a field inside it) in a config error, or reports divergence,
-    and a failure writes nothing. Returns the cases that do not pass."""
-    bad, case = [], 0
-    for path in paths:
-        name = ".".join(path)
-        for value in WALK_VALUES:
-            config = json.loads(json.dumps(base))
+def walk_failures(tmp_path, capsys, verb, base, cases):
+    """Each case sets one or more fields, as (path, value) pairs, in a copy of
+    ``base``. A case passes when the verb succeeds, reports divergence, or
+    names a field in a config error, and a failure writes nothing. A
+    one-field case must name its field (its section, a field inside it, or a
+    field it is checked against); a case of several fields may name any field
+    of the config. Returns the cases that do not pass."""
+    names = {".".join(path) for path in field_paths(base)}
+    bad = []
+    for case, settings in enumerate(cases, 1):
+        config = json.loads(json.dumps(base))
+        for path, value in settings:
             node = config
             for key in path[:-1]:
                 node = node[key]
             node[path[-1]] = value
-            case += 1
-            out = tmp_path / f"out{case}"
-            code = main([verb, "--config", str(write_config(tmp_path, config)), "--out", str(out)])
-            err = capsys.readouterr().err
-            label = re.sub(r"\[\d+\]$", "", err.removeprefix("config error: ").split(": ")[0])
-            ok = {0: (out / fingerprint_of(config) / "manifest.json").is_file(),
-                  1: "training diverged" in err,
-                  2: err.startswith("config error: ") and (
-                      label in (name, path[0]) or label.startswith(f"{name}.")
-                      or label in CHECKED_AGAINST.get(name, ()))}
-            if not ok.get(code) or code and out.exists():
-                bad.append(f"{verb} {name}={json.dumps(value)}: exit {code}: {err.strip()}")
+        out = tmp_path / f"out{case}"
+        code = main([verb, "--config", str(write_config(tmp_path, config)), "--out", str(out)])
+        err = capsys.readouterr().err
+        label = re.sub(r"\[\d+\]$", "", err.removeprefix("config error: ").split(": ")[0])
+        if len(settings) == 1:
+            [(path, _)] = settings
+            name = ".".join(path)
+            named = (label in (name, path[0]) or label.startswith(f"{name}.")
+                     or label in CHECKED_AGAINST.get(name, ()))
+        else:
+            named = label in names
+        ok = {0: (out / fingerprint_of(config) / "manifest.json").is_file(),
+              1: "training diverged" in err,
+              2: err.startswith("config error: ") and named}
+        if not ok.get(code) or code and out.exists():
+            shown = " ".join(f"{'.'.join(path)}={json.dumps(value)}" for path, value in settings)
+            bad.append(f"{verb} {shown}: exit {code}: {err.strip()}")
     return bad
+
+
+def one_field_cases(paths):
+    return [((path, value),) for path in paths for value in WALK_VALUES]
 
 
 @pytest.mark.parametrize("verb", ["run", "geometry", "shift", "contraction", "timing"])
 def test_every_config_field_exits_0_or_2(tmp_path, capsys, verb):
     # no numpy warning escapes either: the suite turns warnings into errors
     config = walk_config(verb)
-    bad = walk_failures(tmp_path, capsys, verb, config, field_paths(config))
+    bad = walk_failures(tmp_path, capsys, verb, config, one_field_cases(field_paths(config)))
+    assert not bad, "\n".join(bad)
+
+
+# fields that are checked against each other, walked two at a time
+INTERACTING = [("dataset.n_samples", "initial_size"), ("dataset.n_samples", "split.test_fraction"),
+               ("batch_size", "rounds"), ("batch_size", "pool_size"),
+               ("dataset.n_features", "model.hidden_widths"),
+               ("contraction.s_size", "contraction.subset_fraction")]
+PAIR_VALUES = [0, -1, 2, 0.5, 1e300]
+
+
+def pair_values(name):
+    # a width list takes one-entry lists, so that [2] can pass
+    return [[v] for v in PAIR_VALUES] if name == "model.hidden_widths" else PAIR_VALUES
+
+
+@pytest.mark.parametrize("verb", ["run", "geometry", "shift", "contraction", "timing"])
+def test_interacting_field_pairs_exit_0_or_2(tmp_path, capsys, verb):
+    config = walk_config(verb)
+    names = {".".join(path) for path in field_paths(config)}
+    cases = [((tuple(first.split(".")), v), (tuple(second.split(".")), w))
+             for first, second in INTERACTING if {first, second} <= names
+             for v in pair_values(first) for w in pair_values(second)]
+    assert cases
+    bad = walk_failures(tmp_path, capsys, verb, config, cases)
     assert not bad, "\n".join(bad)
 
 
@@ -548,7 +585,7 @@ def test_every_csv_dataset_field_exits_0_or_2(tmp_path, capsys):
         valid = write_config(tmp_path / verb, config)
         assert main([verb, "--config", str(valid), "--out", str(tmp_path / verb / "valid")]) == 0
         bad += walk_failures(tmp_path / verb, capsys, verb, config,
-                             [("dataset", "path"), ("dataset", "label_column")])
+                             one_field_cases([("dataset", "path"), ("dataset", "label_column")]))
     assert not bad, "\n".join(bad)
 
 
@@ -983,6 +1020,28 @@ def test_timing_outputs(tmp_path, capsys):
     rows = (out / "timing.csv").read_text().splitlines()
     assert rows[1] == "method,mean_seconds,sd_seconds"
     assert len(rows) == 2 + 2
+
+
+def test_timing_reports_the_median_round_beside_a_stalled_one(tmp_path, capsys, monkeypatch):
+    stalls = iter([0.03, 0.86, 0.025, 0.02, 0.021, 0.022])  # grad's second round stalls
+
+    def stalled(*args, **kwargs):
+        batch, _ = timed_select(*args, **kwargs)
+        return batch, next(stalls)
+
+    monkeypatch.setattr("gradal.cli.timed_select", stalled)
+    config = {**timing_config(), "methods": ["grad", "entropy"], "rounds": 3}
+    assert cmd_timing(config, out_flag=tmp_path) == 0
+    payload = read_json(tmp_path / fingerprint_of(config) / "timing.json")
+    validate(payload, "timing")
+    grad, entropy = payload["per_method"]["grad"], payload["per_method"]["entropy"]
+    assert grad["round_seconds"] == [0.03, 0.86, 0.025]
+    assert grad["median_seconds"] == 0.03
+    assert grad["mean_seconds"] == pytest.approx(0.305)
+    assert entropy["median_seconds"] == 0.021
+    stdout = capsys.readouterr().out
+    assert "grad: 0.305 +/- 0.481 s, median 0.030 s" in stdout
+    assert "entropy: 0.021 +/- 0.001 s, median 0.021 s" in stdout
 
 
 def test_timing_pool_too_small_for_schedule(tmp_path):
