@@ -83,9 +83,11 @@ def fingerprint_of(config: dict) -> str:
 
 def load_config(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: {path} is not UTF-8 text: {exc}") from exc
     try:
         config = json.loads(text)
     except json.JSONDecodeError as exc:

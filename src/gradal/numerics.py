@@ -8,8 +8,26 @@ bit-for-bit regardless of call order anywhere else in the program.
 
 import hashlib
 import math
+import struct
 
 import numpy as np
+
+
+_CHOICE_ATOL = float(np.sqrt(np.finfo(np.float64).eps))  # Generator.choice's, on a law's sum
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """Philox's two key words as its seed sequence: ``key=`` would build a
+    ``SeedSequence`` from OS entropy only to throw it away."""
+    __slots__ = ("words",)
+
+    def __init__(self, words: tuple):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a Philox key is two 64-bit words")
+        return self.words
 
 
 class Rng(np.random.Generator):
@@ -26,7 +44,22 @@ class Rng(np.random.Generator):
         self.seed = int(seed)
         self.label = label
         digest = hashlib.sha256(f"{self.seed}\x1f{label}".encode()).digest()
-        super().__init__(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
+        # the words of Philox(key=int.from_bytes(digest[:16], "little"))
+        super().__init__(np.random.Philox(_PhiloxKey(struct.unpack_from("<2Q", digest))))
+
+    def choice(self, a, size=None, replace=True, p=None, axis=0, shuffle=True):
+        """``Generator.choice``; a draw ``choice(n, p=law)`` from a 1-D float64
+        law skips numpy's checks for its inverse-CDF draw, with the same index
+        and stream, when the law is nonnegative, has at most 2**24 entries and
+        sums to 1 within half numpy's tolerance, so that numpy's compensated
+        sum would pass it too. Every other call goes to numpy."""
+        if (size is None and replace and type(a) is int and 0 < a <= 1 << 24
+                and type(p) is np.ndarray and p.dtype == np.float64 and p.shape == (a,)):
+            cdf = p.cumsum()
+            if abs(cdf[-1] - 1.0) <= _CHOICE_ATOL / 2 and p.min() >= 0.0:
+                cdf /= cdf[-1]
+                return int(cdf.searchsorted(self.random(), side="right"))
+        return super().choice(a, size, replace, p, axis, shuffle)
 
     def derive(self, label: str) -> "Rng":
         """Fresh child stream for ``label``; does not consume this stream."""

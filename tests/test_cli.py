@@ -122,6 +122,13 @@ def test_load_config_errors(tmp_path):
     arr.write_text("[1, 2]", encoding="utf-8")
     with pytest.raises(ConfigError, match="top level"):
         load_config(arr)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="^config: .* is not UTF-8 text"):
+        load_config(latin)
+    bom = tmp_path / "bom.json"
+    bom.write_bytes(b"\xef\xbb\xbf" + b'{"seeds": [3]}')
+    assert load_config(bom) == {"seeds": [3]}
 
 
 def test_parse_slice_forms():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -54,6 +56,112 @@ def test_derive_seed_stable_and_in_range():
 def test_rng_choice_without_replacement_unique():
     picks = Rng(0).choice(50, size=20, replace=False)
     assert len(np.unique(picks)) == 20
+
+
+def philox_twin(seed: int, label: str) -> np.random.Generator:
+    """README's keying written out: Philox keyed by the first 16 bytes of
+    SHA-256("<seed>\\x1f<label>"), read little-endian."""
+    digest = hashlib.sha256(f"{seed}\x1f{label}".encode()).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
+
+
+def draws(rng) -> list:
+    return [rng.random(5), rng.normal(size=5), rng.uniform(-2.0, 3.0, size=5),
+            rng.integers(0, 1000, size=5), rng.permutation(40),
+            rng.choice(100, size=10, replace=False)]
+
+
+@pytest.mark.parametrize("label", ["root", "init/layer0", "shuffle/epoch7",
+                                   "select/badge/round3", "sélection/γ"])
+def test_rng_stream_is_philox_keyed_by_sha256_of_seed_and_label(label):
+    for seed in [*range(21), -5, 2**63 - 1]:
+        got, want = draws(Rng(seed, label)), draws(philox_twin(seed, label))
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in want], (seed, label)
+        chained = Rng(seed, label).derive("a").derive("b")
+        assert chained.random(8).tobytes() == philox_twin(seed, f"{label}/a/b").random(8).tobytes()
+
+
+def numpy_choice_and_after(seed: int, *args, **kwargs):
+    """numpy's own ``Generator.choice`` on a twin ``Rng``, and the next draws."""
+    twin = Rng(seed, "twin")
+    return np.random.Generator.choice(twin, *args, **kwargs), twin.random(3)
+
+
+def single(n: int, at: int) -> np.ndarray:
+    law = np.zeros(n)
+    law[at] = 1.0
+    return law
+
+
+def normalized(weights: np.ndarray) -> np.ndarray:
+    return weights / weights.sum()
+
+
+LAW_SOURCE = np.random.default_rng(5)
+ENDS_ZERO = LAW_SOURCE.random(30)
+ENDS_ZERO[[0, -1]] = 0.0
+LAWS = {
+    "1": np.array([1.0]),
+    "2": np.array([0.25, 0.75]),
+    "940": normalized(LAW_SOURCE.random(940) ** 4),
+    "25000": normalized(LAW_SOURCE.random(25_000) ** 4),
+    "zeros-at-ends": normalized(ENDS_ZERO),
+    "one-nonzero-first": single(9, 0),
+    "one-nonzero-last": single(9, 8),
+    "one-nonzero-inside": single(9, 4),
+}
+
+
+@pytest.mark.parametrize("name", LAWS)
+def test_rng_choice_from_a_law_draws_what_numpy_draws(name):
+    law = LAWS[name]
+    for seed in range(40):
+        rng = Rng(seed, "twin")
+        got = rng.choice(law.size, p=law)
+        want, after = numpy_choice_and_after(seed, law.size, p=law)
+        assert type(got) is type(want) and got == want
+        assert law[got] > 0.0
+        assert rng.random(3).tobytes() == after.tobytes()
+
+
+ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+@pytest.mark.parametrize("law", [
+    np.array([0.5, np.nan, 0.5]),
+    np.array([0.75, -0.25, 0.5]),
+    np.array([0.5, 0.5, 0.5]),
+    normalized(np.arange(1.0, 11.0)) * (1 + 2 * ATOL),
+], ids=["nan", "negative", "sum-1.5", "sum-off-by-2-atol"])
+def test_rng_choice_rejects_a_bad_law_as_numpy_does(law):
+    with pytest.raises(ValueError) as ours:
+        Rng(0, "twin").choice(law.size, p=law)
+    with pytest.raises(ValueError) as numpys:
+        numpy_choice_and_after(0, law.size, p=law)
+    assert str(ours.value) == str(numpys.value)
+
+
+BASE = normalized(np.arange(1.0, 11.0))
+
+
+@pytest.mark.parametrize("args, kwargs", [
+    ((10,), {"p": BASE, "size": 4}),
+    ((10,), {"p": BASE, "size": 4, "replace": False}),
+    ((np.arange(10) * 3,), {"p": BASE}),
+    ((10,), {"p": BASE.astype(np.float32)}),
+    ((10,), {"p": BASE * (1 + 0.75 * ATOL)}),  # numpy's tolerance, not the short path's
+    ((10,), {"p": list(BASE)}),
+    ((np.int64(10),), {"p": BASE}),
+    ((10,), {}),
+], ids=["size", "no-replace", "array-a", "float32-p", "near-tolerance", "list-p",
+        "numpy-int-a", "no-p"])
+def test_rng_choice_other_forms_go_to_numpy(args, kwargs):
+    for seed in range(10):
+        rng = Rng(seed, "twin")
+        got = rng.choice(*args, **kwargs)
+        want, after = numpy_choice_and_after(seed, *args, **kwargs)
+        assert type(got) is type(want) and np.array_equal(got, want)
+        assert rng.random(3).tobytes() == after.tobytes()
 
 
 # ---------------------------------------------------------------- norms
