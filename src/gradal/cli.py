@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acquisition import METHODS, df_scores, timed_select
+from .acquisition import METHODS, df_scores, select_batch, timed_select
 from .al_loop import ExperimentConfig, run_experiments
 from .contraction import ContractionConfig, cumulative_df_bound_check, run_contraction_trace
 from .data import (
@@ -145,20 +145,20 @@ def _only(raw: dict, names, where=""):
     _get(raw, "out_dir", str, where=where)
 
 
-def _section(cls, config: dict, name: str, default=None, **given):
-    """A ``cls`` dataclass from the section ``name`` of ``config`` (``default``
-    when it is absent): each field not in ``given`` is read under its
-    annotated type, an absent one takes the dataclass default, and a key
-    that names no field is an error. ``given`` values are never read."""
-    raw = _get(config, name, dict, default or {})
-    _only(raw, [f.name for f in fields(cls)], f"{name}.")
+def _section(cls, config: dict, name: str, **given):
+    """A ``cls`` dataclass from the section ``name`` of ``config``: each field
+    not in ``given`` is read under its annotated type, an absent one takes the
+    dataclass default, and any other key, a ``given`` field's included, is an
+    error."""
+    raw = _get(config, name, dict, {})
+    read = [f for f in fields(cls) if f.name not in given]
+    _only(raw, [f.name for f in read], f"{name}.")
     values = dict(given)
-    for f in fields(cls):
-        if f.name not in given:
-            required = f.default is MISSING and f.default_factory is MISSING
-            value = _get(raw, f.name, f.type, required=required, where=f"{name}.")
-            if value is not None:
-                values[f.name] = value
+    for f in read:
+        required = f.default is MISSING and f.default_factory is MISSING
+        value = _get(raw, f.name, f.type, required=required, where=f"{name}.")
+        if value is not None:
+            values[f.name] = value
     try:
         return cls(**values)
     except ValueError as exc:
@@ -190,15 +190,12 @@ def build_dataset(cfg: dict) -> Dataset:
     raise ConfigError(f"dataset.kind: unknown dataset kind {kind!r}")
 
 
-def _learner(config: dict, dataset_cfg=None, model=None, train=None):
-    """(dataset, arch, train config, scope) of a verb that trains. The dataset
-    comes from ``dataset_cfg``, else the config's ``dataset``; an absent
-    ``model`` or ``train`` section reads as the dict passed under its name."""
-    dataset = build_dataset(_get(config, "dataset", dict, required=True)
-                            if dataset_cfg is None else dataset_cfg)
-    arch = _section(ArchSpec, config, "model", model,
+def _learner(config: dict):
+    """(dataset, arch, train config, scope) of a verb that trains."""
+    dataset = build_dataset(_get(config, "dataset", dict, required=True))
+    arch = _section(ArchSpec, config, "model",
                     input_dim=dataset.n_features, n_classes=dataset.n_classes)
-    train_cfg = _section(TrainConfig, config, "train", train, seed=0)
+    train_cfg = _section(TrainConfig, config, "train", seed=0)
     return dataset, arch, train_cfg, _get(config, "scope", str, LAST_LAYER, choices=SCOPES)
 
 
@@ -425,14 +422,10 @@ def cmd_compare(results_dir, slice_name: str, alpha: float, out_flag=None) -> in
     if bad:
         raise RuntimeError("unusable result files:\n" + "\n".join(bad))
     try:
-        # alpha 0 rejects nothing; assemble at alpha 1 for the shared
-        # validation, then zero the win mass
-        ppm = build_ppm(experiments, comparison_slice, alpha if alpha > 0.0 else 1.0)
+        ppm = build_ppm(experiments, comparison_slice, alpha)
     except ValueError as exc:
         raise RuntimeError(
             f"{exc}; experiments: " + ", ".join(str(p) for p in runs.values())) from exc
-    if alpha == 0.0:
-        ppm = replace(ppm, P=np.zeros_like(ppm.P))
     scores = loss_scores(ppm)
 
     config = {
@@ -477,7 +470,7 @@ def cmd_geometry(config: dict, out_flag=None) -> int:
         batches[method] = {}
         for b in batch_sizes:
             rng = Rng(seed).derive(f"geometry/{method}/B{b}")
-            batch, _ = timed_select(method, model, dataset, pool, b, rng, scope=scope)
+            batch = select_batch(method, model, dataset, pool, b, rng, scope=scope)
             batches[method][str(b)] = batch.indices
             hashes[f"{method}/B{b}"] = hashlib.sha256(model.params.tobytes()).hexdigest()
             roles = np.full(dataset.n_samples, "pool", dtype=object)
@@ -603,14 +596,16 @@ def cmd_timing(config: dict, out_flag=None) -> int:
     if pool_size < batch_size * rounds:
         raise ConfigError("pool_size: too small for rounds x batch_size")
 
+    need = pool_size + initial_size
     dataset_cfg = _get(config, "dataset", dict, {})
-    if dataset_cfg.get("kind", "blobs") == "blobs":
+    if dataset_cfg.get("kind", "blobs") == "blobs":  # timing's defaults lie under the config
         dataset_cfg = {"kind": "blobs", "n_classes": 10, "n_features": 20, "spread": 2.0,
-                       "n_samples": pool_size + initial_size, **dataset_cfg}
-    dataset, arch, train_cfg, scope = _learner(config, dataset_cfg, {"hidden_widths": [128, 64]},
-                                               {"epochs": 3, "learning_rate": 0.01})
-    if dataset.n_samples < pool_size + initial_size:
-        raise ConfigError("dataset.n_samples: smaller than pool_size + initial_size")
+                       "n_samples": need, **dataset_cfg}
+    dataset, arch, train_cfg, scope = _learner({
+        "model": {"hidden_widths": [128, 64]}, "train": {"epochs": 3, "learning_rate": 0.01},
+        **config, "dataset": dataset_cfg})
+    if dataset.n_samples < need:
+        raise ConfigError(f"dataset: {dataset.n_samples} rows < pool_size + initial_size = {need}")
 
     base = init_pool(np.arange(dataset.n_samples), initial_size, seed)
     start_pool = PoolState(labeled=base.labeled, unlabeled=base.unlabeled[:pool_size])
@@ -702,7 +697,3 @@ def main(argv=None) -> int:
     except Exception as exc:  # runtime failures map to exit 1
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

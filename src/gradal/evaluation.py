@@ -46,21 +46,20 @@ def paired_t_test(a, b) -> TTestResult:
 
 def bh_fdr(p_values, alpha: float) -> np.ndarray:
     """Benjamini-Hochberg step-up: reject the sorted hypotheses 1..k for the
-    largest k with p_(k) <= k*alpha/m. Returns flags in input order."""
+    largest k with p_(k) <= k*alpha/m. Returns flags in input order; alpha 0
+    rejects nothing, p = 0 included."""
     p = np.asarray(p_values, dtype=float)
     if p.ndim != 1:
         raise ValueError("p_values must be 1-D")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError("alpha must be in (0, 1]")
-    if p.size == 0:
-        return np.zeros(0, dtype=bool)
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError("alpha must be in [0, 1]")
     if not np.all(np.isfinite(p)) or np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("p values must lie in [0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")
     passed = p[order] <= alpha * np.arange(1, m + 1) / m
     reject = np.zeros(m, dtype=bool)
-    if passed.any():
+    if alpha > 0.0 and passed.any():
         k = int(np.max(np.nonzero(passed)[0]))
         reject[order[: k + 1]] = True
     return reject
@@ -68,7 +67,7 @@ def bh_fdr(p_values, alpha: float) -> np.ndarray:
 
 def bh_adjusted(p_values) -> np.ndarray:
     """BH adjusted p-values: min over j >= i of m*p_(j)/j, clipped to 1.
-    Rejecting where adjusted <= alpha reproduces bh_fdr."""
+    For alpha > 0, rejecting where adjusted <= alpha reproduces bh_fdr."""
     p = np.asarray(p_values, dtype=float)
     m = p.size
     if m == 0:

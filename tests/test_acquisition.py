@@ -154,6 +154,24 @@ def test_df_score_requires_labeled_points():
         df_score(model, ds, [], 20)
 
 
+def test_df_scores_requires_labeled_points():
+    ds, model, pool = fitted_fixture()
+    with pytest.raises(ValueError, match="labeled set must be nonempty"):
+        df_scores(model, ds, [], pool.unlabeled)
+
+
+def test_df_scores_from_embeddings_requires_a_reference():
+    with pytest.raises(ValueError, match="reference set must be nonempty"):
+        df_scores_from_embeddings(np.zeros(3), np.ones((2, 3)), n_reference=0)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_select_batch_rejects_an_empty_batch(method):
+    ds, model, pool = fitted_fixture()
+    with pytest.raises(ValueError, match="b must be >= 1"):
+        select_batch(method, model, ds, pool, 0, Rng(0))
+
+
 # ------------------------------------------------------------ grad selector
 
 def test_select_grad_is_top_b_of_scores():

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -30,7 +33,8 @@ from gradal.data import SplitSpec, make_blobs, write_csv
 from gradal.model import ArchSpec, TrainConfig, init_model, train
 from gradal.numerics import Rng, derive_seed
 
-SCHEMA_DIR = Path(__file__).resolve().parents[1] / "src" / "gradal" / "schemas"
+ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = ROOT / "src" / "gradal" / "schemas"
 
 
 def load_schema(name):
@@ -220,6 +224,25 @@ def test_run_missing_required_field_exits_2(tmp_path, capsys):
 def test_main_run_smoke(tmp_path):
     path = write_config(tmp_path, run_config())
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_python_m_gradal_runs_the_cli(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+    def gradal(config):
+        return subprocess.run(
+            [sys.executable, "-m", "gradal", "contraction", "--config",
+             str(write_config(tmp_path, config)), "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120)
+
+    config = contraction_config()
+    assert gradal(config).returncode == 0
+    assert (tmp_path / "out" / fingerprint_of(config) / "manifest.json").is_file()
+    config["epochs"] = 3
+    done = gradal(config)
+    assert done.returncode == 2
+    assert done.stderr.startswith("config error: epochs: unknown field")
 
 
 @pytest.mark.parametrize("verb, section, field, value, label", [
@@ -454,6 +477,26 @@ def test_bad_csv_exits_2_naming_field_and_writes_nothing(tmp_path, capsys, text,
     assert code == 2
     assert capsys.readouterr().err.startswith(f"config error: dataset.{field}: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted([data.name, path.name])
+
+
+@pytest.mark.parametrize("text, detail", [
+    ("", "empty file"),
+    ("a,b,label\n", "no data rows"),
+    ("a,b,label\n1,2,0\n3,nan,1\n", "row 3: non-finite feature value"),
+], ids=["empty", "header-only", "nan-cell"])
+def test_csv_without_finite_rows_exits_2_naming_path(tmp_path, capsys, text, detail):
+    data = tmp_path / "data.csv"
+    data.write_text(text, encoding="utf-8")
+    config = contraction_config()
+    config["dataset"] = {"kind": "csv", "path": str(data)}
+    out = tmp_path / "out"
+    code = main(["contraction", "--config", str(write_config(tmp_path, config)),
+                 "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: dataset.path: ")
+    assert f"{data}: {detail}" in err
+    assert not out.exists()
 
 
 def test_runtime_failure_exits_1_and_writes_nothing(tmp_path, capsys):
@@ -758,6 +801,33 @@ def test_compare_counts_a_run_found_twice_once(tmp_path):
     assert twice["P"] == once["P"]
 
 
+def test_compare_names_a_results_file_with_one_method(tmp_path, capsys):
+    results = tmp_path / "results"
+    planted_results(results / "e1", "999999999999")
+    payload = read_json(results / "e1" / "results.json")
+    del payload["per_method"]["random"]
+    (results / "e1" / "results.json").write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["compare", "--results", str(results), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "unusable result files" in err
+    assert f"{results / 'e1' / 'results.json'}: needs at least two methods" in err
+    assert not out.exists()
+
+
+def test_compare_slice_that_selects_nothing_exits_1_naming_the_runs(tmp_path, capsys):
+    results = tmp_path / "results"
+    planted_results(results / "e1", "abcabcabcabc")
+    out = tmp_path / "out"
+    code = main(["compare", "--results", str(results), "--slice", "by-dataset:absent",
+                 "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "slice selects no experiments" in err
+    assert str(results / "e1" / "results.json") in err
+    assert not out.exists()
+
+
 def test_compare_grid_mismatch_exits_1(tmp_path, capsys):
     results = tmp_path / "results"
     planted_results(results / "e1", "222222222222", n_points=5)
@@ -1058,6 +1128,19 @@ def test_timing_pool_too_small_for_schedule(tmp_path):
         cmd_timing(config, out_flag=tmp_path)
 
 
+def test_timing_csv_smaller_than_its_pool_exits_2_naming_dataset(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_csv(make_blobs(40, 2, 2, spread=1.0, seed=0), data)
+    config = {**timing_config(), "pool_size": 50,
+              "dataset": {"kind": "csv", "path": str(data)}}
+    out = tmp_path / "out"
+    code = main(["timing", "--config", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: dataset: 40 rows < pool_size + initial_size = 60")
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ config sections
 
 class Built(Exception):
@@ -1098,14 +1181,15 @@ NON_DEFAULT_SECTIONS = {
                                       learning_rate=0.02, seed=3, scope="last_layer",
                                       hidden_widths=(6, 4), momentum=0.5, minibatch_size=8)),
 }
-UNREAD_FIELDS = {"model": {"input_dim", "n_classes"}, "train": {"seed"}}
+# the fields a verb fills itself, from the dataset or the run's seeds
+FILLED_FIELDS = {"model": {"input_dim", "n_classes"}, "train": {"seed"}}
 
 
 @pytest.mark.parametrize("section", sorted(NON_DEFAULT_SECTIONS))
 def test_section_reads_every_field_of_its_dataclass(monkeypatch, section):
     raw, expected = NON_DEFAULT_SECTIONS[section]
     names = {f.name for f in fields(expected)}
-    assert set(raw) == names - UNREAD_FIELDS.get(section, set())
+    assert set(raw) == names - FILLED_FIELDS.get(section, set())
     assert all(getattr(expected, f.name) != f.default for f in fields(expected) if f.name in raw)
     if section == "contraction":
         config = contraction_config()
@@ -1137,13 +1221,59 @@ def test_absent_sections_take_the_dataclass_defaults(monkeypatch):
     assert train_cfg == TrainConfig(learning_rate=0.01, epochs=3)
 
 
-def test_train_seed_is_not_read(monkeypatch):
+def rejected_run_key(tmp_path, capsys, section, key, value):
+    """Whether a ``run`` config with ``section.key`` set exits 2 naming that
+    key and writes nothing."""
     config = run_config()
-    config["train"]["seed"] = 5
-    assert built(monkeypatch, "run", config)[0].train.seed == 0
+    config[section][key] = value
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(write_config(tmp_path, config)), "--out", str(out)])
+    err = capsys.readouterr().err
+    return code == 2 and err.startswith(f"config error: {section}.{key}: unknown field") \
+        and not out.exists()
 
 
-def test_model_input_dim_is_not_read(monkeypatch):
-    config = run_config()
-    config["model"]["input_dim"] = 99
-    assert built(monkeypatch, "run", config)[0].arch.input_dim == 3
+# a field the verb fills itself is not a key: setting it would change the
+# fingerprint and not the run
+def test_train_seed_is_not_read(tmp_path, capsys):
+    assert rejected_run_key(tmp_path, capsys, "train", "seed", 5)
+
+
+def test_model_input_dim_is_not_read(tmp_path, capsys):
+    assert rejected_run_key(tmp_path, capsys, "model", "input_dim", 99)
+
+
+def test_model_n_classes_is_not_read(tmp_path, capsys):
+    assert rejected_run_key(tmp_path, capsys, "model", "n_classes", 3)
+
+
+SECTION_CLASSES = {"split": SplitSpec, "train": TrainConfig, "model": ArchSpec,
+                   "contraction": ContractionConfig}
+
+
+def readme_config_table():
+    """section -> (dataclass name, {key: stated default}) from README's
+    "Config sections" table."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("### Config sections\n", 1)[1].split("\n### ", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        row = re.fullmatch(r"\| `(\w+)` \| `(\w+)` \| (.*) \|", line)
+        if row:
+            keys = re.findall(r'`(\w+)` (\[[^\]]*\]|"[^"]*"|[^\s,]+)', row[3])
+            rows[row[1]] = (row[2], {key: json.loads(value) for key, value in keys})
+    return rows
+
+
+def test_readme_config_table_is_what_each_section_reads():
+    table = readme_config_table()
+    assert set(table) == set(SECTION_CLASSES)
+    for section, (name, stated) in table.items():
+        cls = SECTION_CLASSES[section]
+        assert name == cls.__name__
+        assert set(stated) == {f.name for f in fields(cls)} - FILLED_FIELDS.get(section, set())
+        for f in fields(cls):
+            if f.name in stated:
+                value = stated[f.name]
+                assert (tuple(value) if isinstance(value, list) else value) == f.default, \
+                    f"{section}.{f.name}"

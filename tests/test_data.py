@@ -34,6 +34,15 @@ def test_dataset_rejects_non_finite_features():
         Dataset(x, np.zeros(4, dtype=int), n_classes=1)
 
 
+@pytest.mark.parametrize("features, labels, message", [
+    (np.zeros(4), np.zeros(4, dtype=int), "features must be a 2-D matrix"),
+    (np.zeros((4, 2)), np.zeros(3, dtype=int), "labels must be one per sample"),
+], ids=["1-D-features", "short-labels"])
+def test_dataset_rejects_misshapen_arrays(features, labels, message):
+    with pytest.raises(ValueError, match=message):
+        Dataset(features, labels, n_classes=1)
+
+
 def test_dataset_requires_samples_per_class():
     with pytest.raises(ValueError):
         Dataset(np.zeros((2, 2)), np.array([0, 1]), n_classes=3)

@@ -147,10 +147,16 @@ def test_bh_adjusted_reproduces_rejections():
 def test_bh_input_validation():
     with pytest.raises(ValueError):
         bh_fdr([0.5, 1.5], 0.05)
+    assert not bh_fdr([0.0, 0.5], 0.0).any()  # alpha 0 rejects nothing, p = 0 included
     with pytest.raises(ValueError):
-        bh_fdr([0.5], 0.0)
+        bh_fdr([0.5], -0.1)
     with pytest.raises(ValueError):
         bh_fdr([[0.5]], 0.05)
+
+
+def test_bh_of_no_p_values_is_empty():
+    assert bh_fdr([], 0.05).shape == (0,)
+    assert bh_adjusted([]).shape == (0,)
 
 
 # ------------------------------------------------------------ curves
@@ -166,6 +172,11 @@ def test_curves_validate_grid():
         curves({"a": np.array([0.5, 0.6])})  # not 2-D
     with pytest.raises(ValueError):
         curves({})
+
+
+def test_curves_reject_a_nan_accuracy():
+    with pytest.raises(ValueError, match="non-finite"):
+        curves({"a": np.zeros((2, 3)), "b": np.array([[0.5, np.nan, 0.5], [0.5, 0.5, 0.5]])})
 
 
 def test_curves_from_results_accepts_results_or_arrays():

@@ -183,6 +183,36 @@ def test_loss_mean_rejects_empty():
         loss_mean(init_model(tiny_arch(), 0), tiny_dataset(), [])
 
 
+def test_train_and_mean_grad_embedding_reject_empty_indices():
+    ds, model = tiny_dataset(), init_model(tiny_arch(), 0)
+    with pytest.raises(ValueError, match="indices must be nonempty"):
+        train(model, ds, [], TrainConfig(learning_rate=0.01, epochs=1))
+    with pytest.raises(ValueError, match="indices must be nonempty"):
+        mean_grad_embedding(model, ds, [])
+
+
+@pytest.mark.parametrize("input_dim, widths", [(0, (4,)), (3, (4, 0))],
+                         ids=["no-input", "zero-width"])
+def test_arch_spec_rejects_empty_layers(input_dim, widths):
+    with pytest.raises(ValueError):
+        ArchSpec(input_dim=input_dim, n_classes=3, hidden_widths=widths)
+
+
+def test_embedding_dim_at_full_scope_is_every_parameter():
+    arch = tiny_arch()
+    assert arch.embedding_dim(FULL) == arch.n_params
+    assert grad_embeddings(init_model(arch, 0), tiny_dataset().features[:2],
+                           scope=FULL).shape == (2, arch.n_params)
+
+
+def test_unknown_scope_raises_naming_it():
+    arch = tiny_arch()
+    with pytest.raises(ValueError, match="unknown scope 'middle'"):
+        arch.embedding_dim("middle")
+    with pytest.raises(ValueError, match="unknown scope 'middle'"):
+        grad_embeddings(init_model(arch, 0), tiny_dataset().features[:2], scope="middle")
+
+
 # ---------------------------------------------------------------- training
 
 def test_train_descends_on_single_sample():
@@ -954,6 +984,16 @@ def test_sweep_raises_naming_every_rate_when_all_diverge(monkeypatch):
             TrainConfig(learning_rate=0.01, epochs=1), seed=0)
     for rate in al_loop.SWEEP_RATES:
         assert f"at learning rate {rate:g}" in str(caught.value)
+
+
+@pytest.mark.parametrize("train_indices, val_indices, message", [
+    ([], np.arange(20, 30), "indices must be nonempty"),
+    (np.arange(20), [], "needs a nonempty validation split"),
+], ids=["no-train", "no-validation"])
+def test_sweep_rejects_an_empty_split(train_indices, val_indices, message):
+    with pytest.raises(ValueError, match=message):
+        sweep_learning_rate(tiny_arch(), tiny_dataset(), train_indices, val_indices,
+                            TrainConfig(learning_rate=0.01, epochs=1), seed=0)
 
 
 def test_sweep_accuracies_and_winner_match_a_loop_over_rates(monkeypatch):

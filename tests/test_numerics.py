@@ -6,6 +6,7 @@ import scipy.stats
 
 from gradal.numerics import (
     Rng,
+    _PhiloxKey,
     derive_seed,
     l2_norm,
     pca_project,
@@ -162,6 +163,19 @@ def test_rng_choice_other_forms_go_to_numpy(args, kwargs):
         want, after = numpy_choice_and_after(seed, *args, **kwargs)
         assert type(got) is type(want) and np.array_equal(got, want)
         assert rng.random(3).tobytes() == after.tobytes()
+
+
+def test_philox_key_gives_only_two_64_bit_words():
+    key = _PhiloxKey((1, 2))
+    assert key.generate_state(2, np.uint64) == (1, 2)
+    with pytest.raises(ValueError, match="two 64-bit words"):
+        key.generate_state(4, np.uint64)
+    with pytest.raises(ValueError, match="two 64-bit words"):
+        key.generate_state(2, np.uint32)
+
+
+def test_rng_repr_names_seed_and_label():
+    assert repr(Rng(3, "x")) == str(Rng(3, "x")) == "Rng(seed=3, label='x')"
 
 
 # ---------------------------------------------------------------- norms
