@@ -172,9 +172,9 @@ def run_experiments(cfg: ExperimentConfig, dataset: Dataset) -> list:
         # seed hold the seed's initial set, so they share the seed's row
         heads = [(cfg.methods[0], s) for s in cfg.seeds] if t == 0 else live
         row = {key: cfg.seeds.index(key[1]) if t == 0 else m for m, key in enumerate(live)}
-        inits = [init_model(cfg.arch, seed=derive_seed(s, "init", t)) for _, s in heads]
+        inits = {s: init_model(cfg.arch, seed=derive_seed(s, "init", t)) for s in cfg.seeds}
         params, diverged = train_stack(
-            cfg.arch, [model.params for model in inits], [pools[key].labeled for key in heads],
+            cfg.arch, [inits[s].params for _, s in heads], [pools[key].labeled for key in heads],
             [derive_seed(s, "train", t) for _, s in heads], dataset, learning_rate,
             cfg.train.momentum, cfg.train.minibatch_size, cfg.train.epochs)
         for key in live:
@@ -184,11 +184,11 @@ def run_experiments(cfg: ExperimentConfig, dataset: Dataset) -> list:
                 del pools[key]
                 continue
             pool = pools[key]
-            model = replace(inits[m], params=params[m])
+            model = replace(inits[seed], params=params[m])
             accuracy = evaluate_accuracy(model, dataset, test_idx)
             batch, seconds = None, 0.0
             if t < cfg.rounds and pool.unlabeled.size:
-                rng = Rng(seed).derive(f"select/{method}/round{t}")
+                rng = Rng(seed, f"root/select/{method}/round{t}")
                 batch, seconds = timed_select(method, model, dataset, pool, cfg.b,
                                               rng, scope=cfg.scope)
                 pools[key] = pool.acquire(batch.indices)

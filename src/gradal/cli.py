@@ -124,7 +124,10 @@ def _get(cfg: dict, name: str, kind, default=None, required=False, where="", min
             raise ConfigError(f"{label}: duplicate entries")
         return value
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer past float64's range
+            raise ConfigError(f"{label}: expected a finite number") from None
     if not isinstance(value, kind) or isinstance(value, bool) and kind is int:
         raise ConfigError(f"{label}: expected {kind.__name__}")
     if kind is float and not math.isfinite(value):
@@ -393,10 +396,11 @@ def _curves_from_payload(path: Path, payload: dict):
     per_method = payload.get("per_method", {})
     if len(per_method) < 2:
         raise ValueError(f"{path}: needs at least two methods")
-    accuracies = {
-        m: [[rec["test_accuracy"] for rec in seq] for seq in entry["per_seed"]]
-        for m, entry in per_method.items()
-    }
+    # a (method, seed) that diverged left its method: pair on the seeds every method kept
+    kept = [dict(zip(e["seeds"], e["per_seed"], strict=True)) for e in per_method.values()]
+    seeds = [s for s in kept[0] if all(s in k for k in kept)]
+    accuracies = {m: [[rec["test_accuracy"] for rec in k[s]] for s in seeds]
+                  for m, k in zip(per_method, kept)}
     manifest = payload.get("manifest", {})
     return curves_from_results(accuracies, dataset=manifest.get("dataset_name", ""),
                                arch=manifest.get("arch_name", ""))
@@ -469,7 +473,7 @@ def cmd_geometry(config: dict, out_flag=None) -> int:
     for method in methods:
         batches[method] = {}
         for b in batch_sizes:
-            rng = Rng(seed).derive(f"geometry/{method}/B{b}")
+            rng = Rng(seed, f"root/geometry/{method}/B{b}")
             batch = select_batch(method, model, dataset, pool, b, rng, scope=scope)
             batches[method][str(b)] = batch.indices
             hashes[f"{method}/B{b}"] = hashlib.sha256(model.params.tobytes()).hexdigest()
@@ -616,7 +620,7 @@ def cmd_timing(config: dict, out_flag=None) -> int:
         pool = start_pool
         seconds = []
         for r in range(rounds):
-            rng = Rng(seed).derive(f"timing/{method}/round{r}")
+            rng = Rng(seed, f"root/timing/{method}/round{r}")
             batch, elapsed = timed_select(method, model, dataset, pool,
                                           batch_size, rng, scope=scope)
             seconds.append(elapsed)

@@ -118,14 +118,13 @@ def run_contraction_trace(cfg: ContractionConfig, dataset: Dataset,
         raise ValueError("s_size exceeds the dataset")
     if not 1 <= cfg.subset_size < cfg.s_size:
         raise ValueError("subset_fraction yields an empty or full subset")
-    rng = Rng(cfg.seed)
     if sample_indices is None:
-        sample_indices = rng.derive("sample_s").choice(
+        sample_indices = Rng(cfg.seed, "root/sample_s").choice(
             dataset.n_samples, size=cfg.s_size, replace=False)
     s = np.sort(np.asarray(sample_indices, dtype=np.int64))
     if subset_indices is None:
-        rows = rng.derive("sample_sj").choice(s.size, size=cfg.subset_size,
-                                              replace=False)
+        rows = Rng(cfg.seed, "root/sample_sj").choice(s.size, size=cfg.subset_size,
+                                                      replace=False)
         subset_indices = s[rows]
     s_j = np.sort(np.asarray(subset_indices, dtype=np.int64))
 

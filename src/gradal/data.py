@@ -105,11 +105,12 @@ def standardized(dataset: Dataset, rows) -> Dataset:
 
 
 def _encode_labels(raw: list) -> tuple:
-    """Map raw label strings to contiguous ids by sorted original value."""
+    """Map raw label strings to contiguous ids in numeric order, ties by text,
+    or in text order if a label is not a number or is NaN."""
     unique = sorted(set(raw))
     try:
-        numeric = sorted(set(raw), key=float)
-        unique = numeric
+        if not np.isnan([float(v) for v in unique]).any():
+            unique.sort(key=float)  # stable, so equal values keep their text order
     except ValueError:
         pass
     mapping = {value: i for i, value in enumerate(unique)}
@@ -124,9 +125,9 @@ def load_csv(path, label_column: str) -> Dataset:
     """Load a comma-separated file with a header row into a Dataset.
 
     All columns except ``label_column`` must be numeric. Labels are
-    re-encoded to 0..n_classes-1 by sorted original value (numeric order
-    when every label parses as a number, lexicographic otherwise). Parse
-    errors name the offending file line (header is line 1).
+    re-encoded to 0..n_classes-1 by sorted original value (``_encode_labels``),
+    so the ids do not depend on the hash seed. Parse errors name the
+    offending file line (header is line 1).
     """
     path = Path(path)
     if not path.exists():
@@ -190,13 +191,12 @@ def make_blobs(n_samples: int, n_classes: int, n_features: int,
         raise ValueError("need n_classes >= 2 and n_features >= 1")
     if n_samples < n_classes:
         raise ValueError("need at least one sample per class")
-    rng = Rng(seed, "blobs")
-    centers = rng.derive("centers").uniform(-5.0, 5.0, (n_classes, n_features))
+    centers = Rng(seed, "blobs/centers").uniform(-5.0, 5.0, (n_classes, n_features))
     base, extra = divmod(n_samples, n_classes)
     features, labels = [], []
     for c in range(n_classes):
         count = base + (1 if c < extra else 0)
-        noise = rng.derive(f"class{c}").normal(0.0, 1.0, (count, n_features))
+        noise = Rng(seed, f"blobs/class{c}").normal(0.0, 1.0, (count, n_features))
         features.append(centers[c] + spread * noise)
         labels.append(np.full(count, c, dtype=np.int64))
     return Dataset(
@@ -225,7 +225,6 @@ def split(dataset: Dataset, spec: SplitSpec):
     class proportions deviate from the requested fractions by at most one
     sample per class. Deterministic in ``spec.seed``.
     """
-    rng = Rng(spec.seed, "split")
     if spec.stratified:  # one group per class, under its own RNG label
         groups = [(f"class{c}", np.flatnonzero(dataset.labels == c)) for c in range(dataset.n_classes)]
         small = [c for c, (_, idx) in enumerate(groups) if idx.size < 2]
@@ -234,8 +233,8 @@ def split(dataset: Dataset, spec: SplitSpec):
     else:
         groups = [("all", np.arange(dataset.n_samples))]
     train, val, test = [], [], []
-    for name, idx in groups:
-        perm = idx[rng.derive(name).permutation(idx.size)]
+    for group, idx in groups:
+        perm = idx[Rng(spec.seed, f"split/{group}").permutation(idx.size)]
         n_test = int(spec.test_fraction * idx.size + 0.5)
         n_val = int(spec.validation_fraction * idx.size + 0.5)
         test.append(perm[:n_test])

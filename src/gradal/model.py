@@ -121,11 +121,10 @@ def _layers(params: np.ndarray, arch: ArchSpec):
 def init_model(arch: ArchSpec, seed: int) -> ModelState:
     """Fan-in-scaled uniform weights U(-sqrt(1/fan_in), +sqrt(1/fan_in)),
     zero biases. Deterministic in ``seed``."""
-    rng = Rng(seed, "init")
     params = np.zeros(arch.n_params)
     for i, (w, _b) in enumerate(_layers(params, arch)):
         bound = math.sqrt(1.0 / w.shape[1])
-        w[:] = rng.derive(f"layer{i}").uniform(-bound, bound, w.shape)
+        w[:] = Rng(seed, f"init/layer{i}").uniform(-bound, bound, w.shape)
     return ModelState(params=params, arch=arch)
 
 
@@ -347,7 +346,6 @@ def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
     read, local = np.unique(labeled, return_inverse=True)  # from here labeled indexes read
     labeled = local.reshape(labeled.shape)
     features, labels = dataset.features[read].astype(TRAIN_DTYPE), dataset.labels[read]
-    shuffles = {seed: Rng(seed, "shuffle") for seed in seeds}  # one draw per distinct seed
     diverged = np.full(len(params), -1)
     n = labeled.shape[1]
     size = minibatch_size or n
@@ -362,7 +360,7 @@ def train_stack(arch: ArchSpec, params, labeled, seeds, dataset: Dataset,
         _stack_grad(w_layers, g_layers, x, y, spaces[n])
     for epoch in range(epochs):
         if minibatch_size:  # one gather per epoch, in its shuffled order
-            orders = {k: s.derive(f"epoch{epoch}").permutation(n) for k, s in shuffles.items()}
+            orders = {s: Rng(s, f"shuffle/epoch{epoch}").permutation(n) for s in set(seeds)}
             rows = np.take_along_axis(labeled, np.stack([orders[seed] for seed in seeds]), axis=1)
             x, y = features[rows], labels[rows]
         for start in range(0, n, size):

@@ -262,6 +262,29 @@ def test_non_finite_config_number_exits_2_naming_field(tmp_path, capsys, verb, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb, path, value, label", [
+    ("run", ("train", "learning_rate"), 10 ** 400, "train.learning_rate"),
+    ("run", ("dataset", "spread"), 10 ** 400, "dataset.spread"),
+    ("run", ("split", "test_fraction"), -10 ** 400, "split.test_fraction"),
+    ("contraction", ("contraction", "subset_fraction"), 10 ** 400, "contraction.subset_fraction"),
+    ("shift", ("shift",), 10 ** 400, "shift"),
+    ("shift", ("shift",), [0.0, 10 ** 400, 0.0, 0.0], "shift[1]"),
+], ids=["train.learning_rate", "dataset.spread", "split.test_fraction",
+        "contraction.subset_fraction", "shift", "shift[1]"])
+def test_integer_past_float64_in_a_float_field_exits_2_naming_it(tmp_path, capsys, verb, path,
+                                                                  value, label):
+    config = {"run": run_config, "contraction": contraction_config, "shift": shift_config}[verb]()
+    section = config
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    out = tmp_path / "out"
+    code = main([verb, "--config", str(write_config(tmp_path, config)), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {label}: expected a finite number\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("verb, field, value", [
     ("timing", "rounds", 0),
     ("timing", "batch_size", 0),
@@ -826,6 +849,38 @@ def test_compare_slice_that_selects_nothing_exits_1_naming_the_runs(tmp_path, ca
     assert "slice selects no experiments" in err
     assert str(results / "e1" / "results.json") in err
     assert not out.exists()
+
+
+def test_compare_pairs_a_run_on_the_seeds_every_method_kept(tmp_path):
+    # a (method, seed) that diverged is in its method's seed_errors, not its
+    # seeds; compare reads the run as a run of the seeds every method kept
+    three, two = run_config(rounds=2), run_config(rounds=2)
+    three["seeds"] = [0, 1, 2]
+    runs = {}
+    for name, config in (("three", three), ("two", two)):
+        assert cmd_run(config, out_flag=tmp_path / name) == 0
+        runs[name] = tmp_path / name / fingerprint_of(config) / "results.json"
+    payload = read_json(runs["three"])
+    grad = payload["per_method"]["grad"]
+    assert grad["seeds"].pop() == 2
+    grad["per_seed"].pop()
+    grad["seed_errors"] = [{"seed": 2, "error": "grad round 1: training diverged"}]
+    runs["three"].write_text(json.dumps(payload), encoding="utf-8")
+
+    # each seed keeps its bits in a wider stack
+    kept = read_json(runs["two"])["per_method"]
+    for method, entry in payload["per_method"].items():
+        for seq, other in zip(entry["per_seed"][:2], kept[method]["per_seed"]):
+            assert [r["test_accuracy"] for r in seq] == [r["test_accuracy"] for r in other]
+            assert [r["batch"] for r in seq] == [r["batch"] for r in other]
+
+    ppms = {}
+    for name, path in runs.items():
+        assert cmd_compare(path.parent, "all", 1.0, out_flag=tmp_path / f"compare-{name}") == 0
+        ppms[name] = read_json(next((tmp_path / f"compare-{name}").iterdir()) / "ppm.json")
+    assert ppms["three"]["P"] == ppms["two"]["P"]
+    assert ppms["three"]["methods"] == ppms["two"]["methods"]
+    assert ppms["three"]["experiments_counted"] == 1
 
 
 def test_compare_grid_mismatch_exits_1(tmp_path, capsys):

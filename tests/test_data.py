@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -252,6 +257,29 @@ def test_load_csv_numeric_labels_sorted_numerically(tmp_path):
     ds = load_csv(p, label_column="label")
     # numeric sort: 2 -> 0, 10 -> 1 (lexicographic would invert)
     assert ds.labels.tolist() == [1, 0, 1, 0]
+
+
+# "1" and "01" are one number, so only their text can order them; a NaN is no
+# number, so its column sorts by text. A set of strings iterates in an order
+# that PYTHONHASHSEED sets.
+@pytest.mark.parametrize("labels, expected", [
+    (["1", "01", "1", "01", "2", "2"], [1, 0, 1, 0, 2, 2]),
+    (["10", "nan", "9", "10", "nan", "9"], [0, 2, 1, 0, 2, 1]),
+], ids=["tied-values", "nan"])
+def test_load_csv_label_ids_do_not_depend_on_the_hash_seed(tmp_path, labels, expected):
+    p = tmp_path / "labels.csv"
+    p.write_text("a,label\n" + "".join(f"{i},{y}\n" for i, y in enumerate(labels)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; from gradal.data import load_csv; "
+            "print(load_csv(sys.argv[1], label_column='label').labels.tolist())")
+    seen = set()
+    for hash_seed in range(6):
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code, str(p)], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        seen.add(done.stdout.strip())
+    assert seen == {str(expected)}
 
 
 def test_load_csv_round_trip(tmp_path):

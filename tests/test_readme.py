@@ -34,3 +34,19 @@ def test_readme_names_every_root_export():
     assert len(exported) > 10
     missing = [name for name in exported if not re.search(rf"\b{re.escape(name)}\b", TEXT)]
     assert not missing, f"README never names these root exports: {missing}"
+
+
+def test_readme_lists_every_random_stream():
+    """Each ``Rng(seed, "<path>")`` that the package builds outside
+    ``numerics`` names its path as a literal or an f-string, and README lists
+    that path with each ``{x}`` written ``<x>``."""
+    paths, built = [], 0
+    for module in sorted(Path(gradal.__file__).parent.glob("*.py")):
+        if module.name != "numerics.py":
+            source = module.read_text(encoding="utf-8")
+            built += len(re.findall(r"\bRng\(", source))
+            paths += [re.sub(r"\{(\w+)\}", r"<\1>", path)
+                      for path in re.findall(r'\bRng\([^,()]+, f?"([^"]+)"\)', source)]
+    assert paths and len(paths) == built, "an Rng is built without a literal path"
+    missing = [path for path in paths if f"`{path}`" not in TEXT]
+    assert not missing, f"README does not list these random streams: {missing}"
