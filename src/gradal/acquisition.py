@@ -140,9 +140,12 @@ def select_grad(model: ModelState, dataset: Dataset, pool: PoolState, b: int,
 
 
 def entropy_scores(probabilities: np.ndarray) -> np.ndarray:
-    """Predictive entropy per row with the 0 * log 0 = 0 convention."""
+    """Predictive entropy per row with the 0 * log 0 = 0 convention: p log p
+    in one buffer, +0.0 where p is not positive (NaN included)."""
     p = np.asarray(probabilities, dtype=float)
-    terms = np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+    positive = p > 0.0
+    terms = np.log(p, out=np.zeros_like(p), where=positive)
+    np.multiply(terms, p, out=terms, where=positive)
     return -terms.sum(axis=1)
 
 

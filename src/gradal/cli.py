@@ -399,6 +399,8 @@ def _curves_from_payload(path: Path, payload: dict):
     # a (method, seed) that diverged left its method: pair on the seeds every method kept
     kept = [dict(zip(e["seeds"], e["per_seed"], strict=True)) for e in per_method.values()]
     seeds = [s for s in kept[0] if all(s in k for k in kept)]
+    if not seeds:
+        raise ValueError(f"{path}: no seed kept by every method")
     accuracies = {m: [[rec["test_accuracy"] for rec in k[s]] for s in seeds]
                   for m, k in zip(per_method, kept)}
     manifest = payload.get("manifest", {})
@@ -635,7 +637,7 @@ def cmd_timing(config: dict, out_flag=None) -> int:
 
     ordering = None
     if "entropy" in per_method and "grad" in per_method:
-        ordering = per_method["entropy"]["mean_seconds"] < per_method["grad"]["mean_seconds"]
+        ordering = per_method["entropy"]["median_seconds"] < per_method["grad"]["median_seconds"]
 
     report = [f"{m}: {per_method[m]['mean_seconds']:.3f} +/- {per_method[m]['sd_seconds']:.3f} s, "
               f"median {per_method[m]['median_seconds']:.3f} s" for m in methods]

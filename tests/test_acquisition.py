@@ -253,10 +253,29 @@ def test_entropy_values():
     assert entropy_scores(one_hot)[0] == 0.0
 
 
+def _reference_entropy_scores(p):
+    """``entropy_scores`` as whole-array np.where passes: p log p where p > 0, else +0.0."""
+    p = np.asarray(p, dtype=float)
+    return -np.where(p > 0.0, p * np.log(np.where(p > 0.0, p, 1.0)), 0.0).sum(axis=1)
+
+
 def test_entropy_handles_hard_zeros():
     s = entropy_scores(np.array([[0.0, 1.0], [0.3, 0.7]]))
     assert s[0] == 0.0
     assert s[1] == pytest.approx(-(0.3 * np.log(0.3) + 0.7 * np.log(0.7)), rel=1e-12)
+    # bitwise the reference, signs of zero included: an entry that is not
+    # positive (a hard or negative zero, NaN, a negative) adds +0.0
+    tiny = np.nextafter(0.0, 1.0)  # the least subnormal
+    batch = Rng(0, "entropy-dirichlet").dirichlet(np.full(10, 0.05), 5_000)
+    for p in (np.array([[0.0, 1.0], [0.3, 0.7], [0.0, 0.0]]),
+              np.array([[-0.0, 1.0], [-0.0, -0.0], [-0.0, 0.0]]),
+              np.array([[tiny, 1.0 - tiny], [1e-310, 1.0], [tiny, 0.0]]),
+              np.array([[np.nan, 1.0], [np.nan, np.nan], [0.4, np.nan]]),
+              np.array([[-0.1, 1.1], [-1.0, 0.5], [-0.0, -2.0]]),
+              batch, np.asfortranarray(batch)):  # a row sum's order follows the layout
+        got, want = entropy_scores(p), _reference_entropy_scores(p)
+        assert got.tobytes() == want.tobytes()
+    assert np.signbit(entropy_scores(np.array([[0.0, 1.0], [-0.0, -0.0]]))).all()
 
 
 def test_select_entropy_is_top_b():

@@ -838,6 +838,21 @@ def test_compare_names_a_results_file_with_one_method(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_compare_names_a_results_file_whose_methods_share_no_seed(tmp_path, capsys):
+    results = tmp_path / "results"
+    planted_results(results / "e1", "cdecdecdecde", n_seeds=4)
+    payload = read_json(results / "e1" / "results.json")
+    for entry, keep in zip(payload["per_method"].values(), (slice(0, 2), slice(2, 4))):
+        entry["seeds"], entry["per_seed"] = entry["seeds"][keep], entry["per_seed"][keep]
+    (results / "e1" / "results.json").write_text(json.dumps(payload), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["compare", "--results", str(results), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "unusable result files" in err
+    assert f"{results / 'e1' / 'results.json'}: no seed kept by every method" in err
+    assert not out.exists()
+
+
 def test_compare_slice_that_selects_nothing_exits_1_naming_the_runs(tmp_path, capsys):
     results = tmp_path / "results"
     planted_results(results / "e1", "abcabcabcabc")
@@ -1155,25 +1170,38 @@ def test_timing_outputs(tmp_path, capsys):
 
 
 def test_timing_reports_the_median_round_beside_a_stalled_one(tmp_path, capsys, monkeypatch):
-    stalls = iter([0.03, 0.86, 0.025, 0.02, 0.021, 0.022])  # grad's second round stalls
-
     def stalled(*args, **kwargs):
         batch, _ = timed_select(*args, **kwargs)
         return batch, next(stalls)
 
     monkeypatch.setattr("gradal.cli.timed_select", stalled)
     config = {**timing_config(), "methods": ["grad", "entropy"], "rounds": 3}
-    assert cmd_timing(config, out_flag=tmp_path) == 0
-    payload = read_json(tmp_path / fingerprint_of(config) / "timing.json")
+    stalls = iter([0.03, 0.86, 0.025, 0.02, 0.021, 0.022])  # grad's second round stalls
+    assert cmd_timing(config, out_flag=tmp_path / "grad-stalls") == 0
+    payload = read_json(tmp_path / "grad-stalls" / fingerprint_of(config) / "timing.json")
     validate(payload, "timing")
     grad, entropy = payload["per_method"]["grad"], payload["per_method"]["entropy"]
     assert grad["round_seconds"] == [0.03, 0.86, 0.025]
     assert grad["median_seconds"] == 0.03
     assert grad["mean_seconds"] == pytest.approx(0.305)
     assert entropy["median_seconds"] == 0.021
+    assert payload["entropy_faster_than_grad"] is True
     stdout = capsys.readouterr().out
     assert "grad: 0.305 +/- 0.481 s, median 0.030 s" in stdout
     assert "entropy: 0.021 +/- 0.001 s, median 0.021 s" in stdout
+    assert "entropy faster than grad: True" in stdout
+
+    # a stall that puts the means in the other order does not flip the verdict
+    for name, rounds, faster in (("entropy-stalls", [0.03, 0.031, 0.029, 0.02, 0.9, 0.021], True),
+                                 ("grad-median-faster", [0.015, 0.9, 0.016, 0.02, 0.021, 0.022],
+                                  False)):
+        stalls = iter(rounds)
+        assert cmd_timing(config, out_flag=tmp_path / name) == 0
+        payload = read_json(tmp_path / name / fingerprint_of(config) / "timing.json")
+        grad, entropy = payload["per_method"]["grad"], payload["per_method"]["entropy"]
+        assert (entropy["mean_seconds"] < grad["mean_seconds"]) is not faster
+        assert payload["entropy_faster_than_grad"] is faster
+        assert f"entropy faster than grad: {faster}" in capsys.readouterr().out
 
 
 def test_timing_pool_too_small_for_schedule(tmp_path):

@@ -7,6 +7,7 @@ from gradal.al_loop import sweep_learning_rate
 from gradal.contraction import ContractionConfig, run_contraction_trace
 from gradal.data import Dataset, make_blobs
 from gradal.model import (
+    CHUNK_ROWS,
     FULL,
     LAST_LAYER,
     TRAIN_DTYPE,
@@ -23,7 +24,9 @@ from gradal.model import (
     _Workspace,
     grad_embedding,
     grad_embeddings,
+    grad_products,
     init_model,
+    last_layer_factors,
     loss_mean,
     mean_grad_embedding,
     penultimate,
@@ -801,18 +804,59 @@ def test_softmax_of_a_negative_nan_equals_reduction_form_up_to_the_nan_sign():
     assert np.array_equal(_log_softmax(logits), _reference_log_softmax(logits), equal_nan=True)
 
 
+def _reference_forward(model, x, tile=False):
+    """The forward pass written out: per layer x @ W.T + b, the bias a
+    broadcast row, ReLU between layers; the input, each hidden activation
+    and the logits of x's rows. ``tile`` runs x zero-padded to one
+    CHUNK_ROWS-row tile, the rows an inference pass's GEMMs see."""
+    a = np.zeros((CHUNK_ROWS, x.shape[1])) if tile else np.empty_like(x)
+    a[:len(x)] = x
+    acts = [a]
+    for i, (w, b) in enumerate(_layers(model.params, model.arch)):
+        z = acts[-1] @ w.T + b
+        acts.append(np.maximum(z, 0.0) if i < len(model.arch.hidden_widths) else z)
+    return [a[:len(x)] for a in acts]
+
+
 def test_predict_proba_and_loss_mean_equal_reduction_forms_bitwise():
     ds = make_blobs(300, 10, 20, spread=1.0, seed=3)
     arch = ArchSpec(input_dim=20, n_classes=10, hidden_widths=(32,))
     m = init_model(arch, 4)
-    layers, rows = _layers(m.params, arch), np.arange(0, 300, 2)
+    rows = np.arange(0, 300, 2)
     # predict_proba runs 256-row tiles, whose logits carry their own bits
-    tile = np.zeros((256, 20))
-    tile[:150] = ds.features[rows]
-    logits = _forward(layers, tile)[1][:150]
+    logits = _reference_forward(m, ds.features[rows], tile=True)[-1]
     assert predict_proba(m, ds.features, rows=rows).tobytes() == _reference_softmax(logits).tobytes()
-    logp = _reference_log_softmax(_forward(layers, ds.features[rows])[1])
+    logp = _reference_log_softmax(_reference_forward(m, ds.features[rows])[-1])
     assert loss_mean(m, ds, rows) == float(-logp[np.arange(150), ds.labels[rows]].mean())
+
+
+@pytest.mark.parametrize("widths", [(32, 16), (6, 1)], ids=["wide", "width-1"])
+@pytest.mark.parametrize("full", [True, False], ids=["full-tile", "partial-tile"])
+def test_inference_passes_equal_a_written_out_forward_bitwise(widths, full):
+    # every fixed-param tile pass adds its biases as whole tiles: the bits of
+    # x @ W.T + b with a broadcast row, at a tile's 256 rows
+    ds = make_blobs(300, 4, 7, spread=1.0, seed=5)
+    m = init_model(ArchSpec(input_dim=7, n_classes=4, hidden_widths=widths), 6)
+    m.params += Rng(6, "biases").normal(size=m.params.size)  # init_model leaves the biases 0
+    features, rows = ((ds.features[:CHUNK_ROWS], None) if full
+                      else (ds.features, np.arange(1, 300, 3)))
+    x = features if rows is None else features[rows]
+    acts = _reference_forward(m, x, tile=True)
+    probs = _reference_softmax(acts[-1])
+    err = probs.copy()
+    err[np.arange(len(x)), np.argmax(probs, axis=1)] -= 1.0
+    h1 = np.hstack([acts[-2], np.ones((len(x), 1))])
+    assert predict_proba(m, features, rows=rows).tobytes() == probs.tobytes()
+    assert penultimate(m, features, rows=rows).tobytes() == acts[-2].tobytes()
+    got_err, got_h1 = last_layer_factors(m, features, rows=rows)
+    assert got_err.tobytes() == err.tobytes() and got_h1.tobytes() == h1.tobytes()
+    # last-layer scope: one block, delta = err and a = the penultimate output
+    ref = Rng(7, "ref").normal(size=m.arch.embedding_dim(LAST_LAYER))
+    r_w, r_b = ref[:-4].reshape(4, -1), ref[-4:]
+    sq = np.einsum("ij,ij->i", err, err) * (np.einsum("ij,ij->i", acts[-2], acts[-2]) + 1.0)
+    dot = np.einsum("ij,ij->i", err, acts[-2] @ r_w.T + r_b)
+    got_sq, got_dot = grad_products(m, features, ref, rows=rows)
+    assert got_sq.tobytes() == sq.tobytes() and got_dot.tobytes() == dot.tobytes()
 
 
 def _reference_train_stack(arch, params, labeled, seeds, ds, rates, momentum, minibatch_size,
